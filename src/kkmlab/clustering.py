@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import ensure_rng, fmt12
-from .errors import EmptyCluster, IndexOutOfRange, InstanceTooLarge, KTooLarge
+from .errors import (
+    EmptyCluster,
+    IndexOutOfRange,
+    InstanceTooLarge,
+    InvariantViolated,
+    KTooLarge,
+)
 from .kernels import GramMatrix
 
 __all__ = [
@@ -254,7 +260,8 @@ def brute_force_erm(K: GramMatrix, k: int):
         if costs[idx] < best_cost:
             best_cost = float(costs[idx])
             best_labels = chunk[idx]
-    assert best_labels is not None
+    if best_labels is None:
+        raise InvariantViolated(f"no partition of {n} points into {k} blocks was scored")
     return Assignment.from_labels(best_labels, k), max(best_cost, 0.0)
 
 

@@ -235,7 +235,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     out = overrides.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or _get(
         cp, "run", "output_dir", str, "out"
     )
-    workers = int(overrides.get("workers") or _get(cp, "run", "workers", int, 1))
+    workers = overrides.get("workers")
+    workers = int(workers) if workers is not None else _get(cp, "run", "workers", int, 1)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     for key in ("method", "m", "k", "trials", "reps"):
         if overrides.get(key) is not None:

@@ -77,6 +77,10 @@ class CoefficientDimensionMismatch(KKMLabError):
     """Center coefficient vectors do not match the atom count."""
 
 
+class InvariantViolated(KKMLabError):
+    """An internal invariant of an algorithm failed; this is a bug, not bad input."""
+
+
 class ConfigError(KKMLabError):
     """Experiment configuration is missing, malformed, or inconsistent."""
 

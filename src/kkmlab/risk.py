@@ -98,6 +98,11 @@ class DistributionSpec:
     def gram(self) -> GramMatrix:
         return gram_matrix(self.kernel, self.atoms)
 
+    @cached_property
+    def _optimal_risks(self) -> dict:
+        """``optimal_risk`` results by (k, surrogate_runs), filled on demand."""
+        return {}
+
     @property
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
@@ -260,7 +265,18 @@ def optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int = _SURROGATE_R
     Otherwise a surrogate: the best population risk over ``surrogate_runs``
     seeded approximate fits on the atom set, each polished by a
     weight-aware Lloyd pass.
+
+    The result is cached on the ``DistributionSpec`` instance per
+    (k, surrogate_runs), so repeated calls with the same ``P`` compute it
+    once; an equal but separately built distribution computes it again.
     """
+    key = (k, surrogate_runs)
+    if key not in P._optimal_risks:
+        P._optimal_risks[key] = _compute_optimal_risk(P, k, surrogate_runs)
+    return P._optimal_risks[key]
+
+
+def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> OptimalRisk:
     N = P.n_atoms
     if k >= N:
         return OptimalRisk(value=0.0, exact=True)

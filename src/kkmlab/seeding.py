@@ -18,7 +18,7 @@ import numpy as np
 
 from ._common import ensure_rng
 from .clustering import Assignment, cluster_cost, kernel_lloyd
-from .errors import EmptyCluster, KTooLarge
+from .errors import EmptyCluster, InvariantViolated, KTooLarge
 from .kernels import GramMatrix, dists_to_points
 
 __all__ = [
@@ -58,6 +58,30 @@ def _labels_cost(K: GramMatrix, labels: np.ndarray, k: int) -> float:
     return max(cost, 0.0)
 
 
+def _swap_costs(K: GramMatrix, center_dists: np.ndarray, cand_col: np.ndarray) -> np.ndarray:
+    """Costs of all k single-center swaps, scored as one batch.
+
+    Entry p is the mean-centroid cost of the nearest-center labeling after
+    center p's distance column is replaced by ``cand_col``, or +inf if that
+    labeling leaves a cluster empty.  Each entry equals ``_labels_cost`` of
+    the same labeling bit for bit: the per-trial arithmetic is unchanged.
+    """
+    n, k = center_dists.shape
+    pos = np.arange(k)
+    trial = np.repeat(center_dists[None, :, :], k, axis=0)
+    trial[pos, :, pos] = cand_col
+    labels = np.argmin(trial, axis=2)
+    G = (labels[:, :, None] == pos).astype(float)
+    T = np.einsum("pij,pij->pj", G, np.matmul(K.entries, G))
+    sizes = G.sum(axis=1)
+    empty = np.any(sizes == 0.0, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        costs = (float(np.sum(K.diag)) - np.sum(T / sizes, axis=1)) / n
+    costs = np.maximum(costs, 0.0)
+    costs[empty] = np.inf
+    return costs
+
+
 def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> SeedingResult:
     labels = _labels_for_centers(K, centers)
     induced = Assignment.from_labels(labels, len(centers))
@@ -75,7 +99,8 @@ def _dsq_draw(rng: np.random.Generator, d2: np.ndarray) -> int:
     """Sample an index with probability proportional to d2 (must not be all zero)."""
     total = float(d2.sum())
     choice = int(rng.choice(d2.size, p=d2 / total))
-    assert d2[choice] > 0.0, "D^2 sampler drew a zero-weight point"
+    if not d2[choice] > 0.0:
+        raise InvariantViolated(f"D^2 sampler drew point {choice}, which has zero weight")
     return choice
 
 
@@ -127,7 +152,6 @@ def local_search_improve(
     rng = ensure_rng(rng)
 
     centers = np.asarray(seed.center_indices, dtype=np.int64).copy()
-    k = centers.size
     cost = float(seed.cost)
     swaps = int(seed.swaps_accepted)
 
@@ -140,22 +164,12 @@ def local_search_improve(
         cand = _dsq_draw(rng, d2)
 
         cand_col = dists_to_points(K, [cand])[:, 0]
-        best_cost = np.inf
-        best_pos = -1
-        trial = center_dists.copy()
-        for pos in range(k):
-            saved = trial[:, pos].copy()
-            trial[:, pos] = cand_col
-            labels = np.argmin(trial, axis=1).astype(np.int64)
-            c = _labels_cost(K, labels, k)
-            trial[:, pos] = saved
-            if c < best_cost:
-                best_cost = c
-                best_pos = pos
+        costs = _swap_costs(K, center_dists, cand_col)
+        best_pos = int(np.argmin(costs))  # first minimum: lowest position wins ties
+        best_cost = float(costs[best_pos])
 
-        if best_pos >= 0 and best_cost < cost - _STRICT_IMPROVEMENT:
+        if best_cost < cost - _STRICT_IMPROVEMENT:
             centers[best_pos] = cand
-            assert best_cost <= cost, "accepted swap increased the cost"
             cost = best_cost
             swaps += 1
             center_dists[:, best_pos] = cand_col

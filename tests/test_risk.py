@@ -132,6 +132,42 @@ class TestOptimalRisk:
         assert res.value == pytest.approx(best, abs=1e-9)
 
 
+class TestOptimalRiskCache:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        import kkmlab.risk
+
+        calls = []
+        real = kkmlab.risk.approximate_erm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kkmlab.risk, "approximate_erm", counting)
+        return calls
+
+    def test_run_cells_on_one_distribution_fit_once(self, fits):
+        P = standard_benchmark(4)  # 24 atoms: the 200-run surrogate
+        policy = MPolicy("fixed", m=6)
+        a = run_cell(P, 16, 4, "nystrom", policy, reps=1, master_seed=0)
+        assert len(fits) == 200
+        b = run_cell(P, 24, 4, "nystrom", policy, reps=1, master_seed=0)
+        assert len(fits) == 200
+        assert not a.optimal_exact and a.optimal_risk == b.optimal_risk
+
+    def test_fresh_distribution_and_other_runs_recompute(self, fits):
+        P = standard_benchmark(4)
+        first = optimal_risk(P, 4, surrogate_runs=5)
+        assert optimal_risk(P, 4, surrogate_runs=5) is first
+        assert len(fits) == 5
+        fresh = optimal_risk(standard_benchmark(4), 4, surrogate_runs=5)
+        assert len(fits) == 10
+        assert fresh == first  # the cached result equals an uncached one
+        optimal_risk(P, 4, surrogate_runs=6)
+        assert len(fits) == 16
+
+
 class TestRunCell:
     def test_clusterable_distribution_has_no_excess(self):
         atoms = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])

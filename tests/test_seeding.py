@@ -13,9 +13,9 @@ from kkmlab import (
     local_search_improve,
 )
 from kkmlab.datasets import blob_labels, two_blob_points
-from kkmlab.errors import KTooLarge
+from kkmlab.errors import InvariantViolated, KTooLarge
 from kkmlab.kernels import dists_to_points
-from kkmlab.seeding import _labels_cost
+from kkmlab.seeding import _dsq_draw, _labels_cost, _swap_costs
 
 
 def discrete_subset_optimum(K, k):
@@ -96,7 +96,78 @@ class TestKmeansPP:
             kernel_kmeanspp(K, 4, np.random.default_rng(0))
 
 
+class TestDsqDraw:
+    def test_zero_weight_draw_raises_typed_error(self):
+        class ZeroWeightRng:
+            def choice(self, size, p=None):
+                return 0  # d2[0] is zero
+
+        with pytest.raises(InvariantViolated):
+            _dsq_draw(ZeroWeightRng(), np.array([0.0, 1.0, 2.0]))
+
+
+class TestSwapCosts:
+    @pytest.mark.parametrize("n", [24, 64, 256])
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_batch_equals_per_trial_cost(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        for _ in range(5):
+            K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(n, 3)))
+            center_dists = dists_to_points(K, rng.choice(n, size=k, replace=False))
+            cand_col = dists_to_points(K, [int(rng.integers(n))])[:, 0]
+            costs = _swap_costs(K, center_dists, cand_col)
+            for pos in range(k):
+                trial = center_dists.copy()
+                trial[:, pos] = cand_col
+                labels = np.argmin(trial, axis=1).astype(np.int64)
+                assert costs[pos] == _labels_cost(K, labels, k)
+
+    def test_trial_that_empties_a_cluster_is_inf(self):
+        # point 1 duplicates center 0: putting it in place of center 2 gives
+        # two identical columns, the tie goes to position 0 and cluster 1 is empty
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.2, 0.0], [0.1, 0.0]])
+        K = gram_matrix(KernelSpec("gaussian"), X)
+        center_dists = dists_to_points(K, [0, 2])
+        cand_col = dists_to_points(K, [1])[:, 0]
+        costs = _swap_costs(K, center_dists, cand_col)
+        assert costs[1] == np.inf
+        assert np.isfinite(costs[0])
+        assert costs[0] == _labels_cost(K, np.argmin(center_dists, axis=1), 2)
+
+    def test_tie_goes_to_lowest_position(self):
+        # centers on the two middle points; any D^2 candidate comes from one
+        # outer group, and swapping it for either center gives the same
+        # partition (outer group vs the rest), so both swaps cost the same
+        X = np.array([[-10.0], [-10.1], [-0.1], [0.1], [10.0], [10.1]])
+        K = gram_matrix(KernelSpec("linear"), X)
+        seed = seeding_from_centers(K, [2, 3])
+        for s in range(10):
+            out = local_search_improve(K, seed, 1, np.random.default_rng(s))
+            assert out.swaps_accepted == 1
+            cand = int(out.center_indices[0])
+            assert cand not in (2, 3) and out.center_indices[1] == 3
+            costs = _swap_costs(K, dists_to_points(K, [2, 3]), dists_to_points(K, [cand])[:, 0])
+            assert costs[0] == costs[1]
+
+
 class TestLocalSearch:
+    @pytest.mark.parametrize(
+        "seed, n, k, centers, cost, swaps",
+        [
+            (7, 40, 4, [19, 29, 8, 26], 0.27339300174538506, 3),
+            (21, 64, 5, [24, 51, 43, 45, 59], 0.28406643975083556, 6),
+            (3, 120, 8, [20, 67, 90, 27, 113, 84, 112, 103], 0.2433111986980484, 17),
+        ],
+    )
+    def test_fixed_seed_regression(self, seed, n, k, centers, cost, swaps):
+        # pinned from the per-position scorer that the batched one replaced
+        rng = np.random.default_rng(seed)
+        K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(n, 2)))
+        out = local_search_improve(K, kernel_kmeanspp(K, k, rng), 25 * k, rng)
+        assert out.center_indices.tolist() == centers
+        assert out.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+        assert out.swaps_accepted == swaps
+
     def test_zero_rounds_returns_input(self):
         rng = np.random.default_rng(1)
         K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(12, 2)))
