@@ -43,14 +43,12 @@ _METHOD_ALIASES = {
 }
 
 
-def _resolve_m(cfg: ExperimentConfig, K, k: int) -> int:
-    ny = cfg.nystrom
-    if ny.mode == "fixed":
-        if ny.m is None:
-            raise ConfigError("[nystrom] fixed mode needs m")
-        return int(min(max(ny.m, 1), K.n))
-    xi = effective_dimension(K) if ny.mode in ("general", "linear_k") else None
-    return landmark_size(K.n, k, ny.delta, xi=xi, mode=ny.mode, c_scale=ny.c_scale)
+def _landmark_policy(section: str, mode: str, m, ny) -> MPolicy:
+    """The landmark policy a config section asks for; a bad one is a ConfigError."""
+    try:
+        return MPolicy(mode, m=m, c_scale=ny.c_scale, delta=ny.delta)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def cmd_cluster(cfg: ExperimentConfig) -> int:
@@ -85,7 +83,8 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
         final_cost = float(trace.per_iteration_cost[-1])
         extra_lines.append(f"swaps_accepted: {improved.swaps_accepted}")
     elif method == "nystrom":
-        m = _resolve_m(cfg, K, k)
+        ny = cfg.nystrom
+        m = _landmark_policy("nystrom", ny.mode, ny.m, ny).landmarks_for(K, K.n, k)
         rng = np.random.default_rng([cfg.master_seed, 0xC3])
         L = sample_landmarks_uniform(K.n, m, rng)
         emb = nystrom_embed(K, L, jitter=cfg.nystrom.jitter)
@@ -146,9 +145,11 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_nystrom_embed(cfg: ExperimentConfig) -> int:
+    ny = cfg.nystrom
+    policy = _landmark_policy("nystrom", ny.mode, ny.m, ny)
     points = cfg.load_points()
     K = gram_matrix(cfg.kernel, points)
-    m = _resolve_m(cfg, K, cfg.cluster.k)
+    m = policy.landmarks_for(K, K.n, cfg.cluster.k)
     rng = np.random.default_rng([cfg.master_seed, 0xE3])
     L = sample_landmarks_uniform(K.n, m, rng)
     emb = nystrom_embed(K, L, jitter=cfg.nystrom.jitter)
@@ -225,12 +226,9 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
         if name not in _METHOD_ALIASES:
             raise ConfigError(f"unknown sweep method {name!r}")
         methods.append(_METHOD_ALIASES[name])
-    if sweep.m_mode == "fixed":
-        if sweep.m_fixed is None:
-            raise ConfigError("[sweep] m_mode=fixed needs m_fixed")
-        policy = MPolicy("fixed", m=sweep.m_fixed)
-    else:
-        policy = MPolicy(sweep.m_mode, c_scale=cfg.nystrom.c_scale, delta=cfg.nystrom.delta)
+    if sweep.m_mode == "fixed" and sweep.m_fixed is None:
+        raise ConfigError("[sweep] m_mode=fixed needs m_fixed")
+    policy = _landmark_policy("sweep", sweep.m_mode, sweep.m_fixed, cfg.nystrom)
 
     bench_kwargs = {}
     if sweep.benchmark_seed is not None:

@@ -18,6 +18,7 @@ from .errors import (
     InstanceTooLarge,
     InvariantViolated,
     KTooLarge,
+    KTooSmall,
 )
 from .kernels import GramMatrix
 
@@ -85,6 +86,12 @@ def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int):
     return KG, T, sizes
 
 
+def _linkage_cost(K: GramMatrix, T: np.ndarray, sizes: np.ndarray) -> float:
+    """Mean-centroid cost from the per-cluster sums of a populated labeling."""
+    cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
+    return max(cost, 0.0)
+
+
 def cluster_cost(K: GramMatrix, a: Assignment) -> float:
     """Mean squared distance of each point to its cluster's feature mean."""
     if a.n != K.n:
@@ -92,13 +99,14 @@ def cluster_cost(K: GramMatrix, a: Assignment) -> float:
     if np.any(a.cluster_sizes == 0):
         raise EmptyCluster("cluster_cost needs every cluster populated")
     _, T, sizes = _cluster_linkage(K, a.labels, a.k)
-    cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
-    return max(cost, 0.0)
+    return _linkage_cost(K, T, sizes)
 
 
-def _point_center_dists(K: GramMatrix, labels: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) squared distances to every cluster mean; empty clusters get +inf."""
-    KG, T, sizes = _cluster_linkage(K, labels, k)
+def _point_center_dists(
+    K: GramMatrix, KG: np.ndarray, T: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """(n, k) squared distances to every cluster mean, from the labeling's
+    ``_cluster_linkage``; empty clusters get +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         D = K.diag[:, None] - 2.0 * KG / sizes[None, :] + (T / sizes**2)[None, :]
     D[:, sizes == 0] = np.inf
@@ -166,18 +174,22 @@ def kernel_lloyd(
 
     labels = np.asarray(init.labels, dtype=np.int64).copy()
     k = init.k
-    costs = [cluster_cost(K, Assignment.from_labels(labels, k))]
+    # one Gram product per step: the linkage of a labeling gives its cost
+    # and the next step's point-to-center distances
+    KG, T, sizes = _cluster_linkage(K, labels, k)
+    costs = [_linkage_cost(K, T, sizes)]
     converged = False
     iterations = 0
 
     for _ in range(max_iter):
-        D = _point_center_dists(K, labels, k)
+        D = _point_center_dists(K, KG, T, sizes)
         new_labels = np.argmin(D, axis=1).astype(np.int64)
         if np.any(np.bincount(new_labels, minlength=k) == 0):
             own = D[np.arange(K.n), new_labels]
             new_labels = _repair_empty(new_labels, k, own)
         iterations += 1
-        new_cost = cluster_cost(K, Assignment.from_labels(new_labels, k))
+        KG, T, sizes = _cluster_linkage(K, new_labels, k)
+        new_cost = _linkage_cost(K, T, sizes)
         costs.append(new_cost)
         unchanged = bool(np.array_equal(new_labels, labels))
         labels = new_labels
@@ -243,6 +255,8 @@ def brute_force_erm(K: GramMatrix, k: int):
     Guarded to n <= 12 and k <= 4.
     """
     n = K.n
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds n={n}")
     if n > 12 or k > 4:

@@ -271,6 +271,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     # parse-time invariants
     if cfg.data.source == "csv" and not Path(cfg.data.path).is_file():
         raise ConfigError(f"data file not found: {cfg.data.path}")
+    if cfg.cluster.k < 1:
+        raise ConfigError(f"[cluster] k must be >= 1, got {cfg.cluster.k}")
     if not cfg.lab.grid:
         raise ConfigError("[lab] grid must be nonempty")
     if not cfg.sweep.n_values or not cfg.sweep.k_values or not cfg.sweep.methods:

@@ -41,6 +41,10 @@ class KTooLarge(KKMLabError):
     """Requested more clusters than available points."""
 
 
+class KTooSmall(KKMLabError, ValueError):
+    """Requested fewer than one cluster."""
+
+
 class MTooLarge(KKMLabError):
     """Requested more landmarks than available points."""
 

@@ -32,11 +32,16 @@ __all__ = [
     "kernel_dist_sq",
     "spectrum_of",
     "effective_dimension",
+    "capped_effective_dimension",
     "eigendecay_xi_bound",
     "gram_to_csv",
 ]
 
 _FAMILIES = ("gaussian", "linear", "polynomial")
+
+# Relative margin by which the trace bound must clear the cap before the
+# eigendecomposition is skipped; it absorbs rounding in the O(n^2) sums.
+_XI_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,23 @@ def effective_dimension(K) -> float:
     else:
         vals = spectrum_of(K).eigenvalues
     return float(np.sum(vals / (vals + 1.0)))
+
+
+def capped_effective_dimension(K: GramMatrix, cap: float) -> float:
+    """``min(cap, effective_dimension(K))``, without the O(n^3)
+    eigendecomposition when a lower bound on xi already exceeds ``cap``.
+
+    Cauchy-Schwarz over the eigenvalues gives
+    (sum lambda)^2 <= sum lambda / (lambda + 1) * sum lambda (lambda + 1), so
+    xi >= tr(K)^2 / (||K||_F^2 + tr K), which takes O(n^2) to evaluate.
+    Clamping negative eigenvalues only raises the bound, so it holds for any
+    symmetric matrix with a positive trace.
+    """
+    tr = float(np.sum(K.diag))
+    fro = float(np.einsum("ij,ij->", K.entries, K.entries))
+    if tr > 0.0 and tr * tr > cap * (1.0 + _XI_BOUND_MARGIN) * (fro + tr):
+        return float(cap)
+    return min(float(cap), effective_dimension(K))
 
 
 def eigendecay_xi_bound(c: float, alpha: float, k: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import ensure_rng
-from .clustering import Assignment, ClusterCostTrace, random_assignment
+from .clustering import Assignment, ClusterCostTrace, _repair_empty, random_assignment
 from .errors import (
     EmptyCluster,
     InvalidDelta,
@@ -29,6 +29,7 @@ from .errors import (
     SingularLandmarkBlockWarning,
 )
 from .kernels import GramMatrix
+from .seeding import _dsq_centers
 
 __all__ = [
     "LandmarkSet",
@@ -203,16 +204,9 @@ def euclidean_lloyd(
     for _ in range(max_iter):
         D = _zspace_dists(Z, labels, k)
         new_labels = np.argmin(D, axis=1).astype(np.int64)
-        sizes = np.bincount(new_labels, minlength=k)
-        if np.any(sizes == 0):
+        if np.any(np.bincount(new_labels, minlength=k) == 0):
             own = D[np.arange(n), new_labels]
-            for j in np.flatnonzero(sizes == 0):
-                eligible = sizes[new_labels] > 1
-                cand = np.where(eligible, own, -np.inf)
-                donor = int(np.argmax(cand))
-                sizes[new_labels[donor]] -= 1
-                new_labels[donor] = j
-                sizes[j] += 1
+            new_labels = _repair_empty(new_labels, k, own)
         iterations += 1
         new_cost = _zspace_cost(Z, new_labels, k)
         costs.append(new_cost)
@@ -233,21 +227,10 @@ def euclidean_lloyd(
 
 
 def euclidean_kmeanspp_labels(Z: np.ndarray, k: int, rng) -> Assignment:
-    """D^2-sampling seeding on Euclidean coordinates; mirrors the kernel-space
-    sampler draw for draw so seeded runs line up across the two geometries."""
-    n = Z.shape[0]
+    """D^2-sampling seeding on Euclidean coordinates; the same sampler as the
+    kernel-space seeding, so seeded runs line up across the two geometries."""
     rng = ensure_rng(rng)
-    centers = [int(rng.integers(n))]
-    d2 = np.sum((Z - Z[centers[0]]) ** 2, axis=1)
-    for _ in range(1, k):
-        total = float(d2.sum())
-        if total > 0.0:
-            nxt = int(rng.choice(n, p=d2 / total))
-        else:
-            remaining = np.setdiff1d(np.arange(n), np.asarray(centers))
-            nxt = int(rng.choice(remaining))
-        centers.append(nxt)
-        d2 = np.minimum(d2, np.sum((Z - Z[nxt]) ** 2, axis=1))
+    centers = _dsq_centers(Z.shape[0], k, rng, lambda i: np.sum((Z - Z[i]) ** 2, axis=1))
     Zc = Z[np.asarray(centers)]
     sq = np.einsum("ij,ij->i", Z, Z)
     csq = np.einsum("ij,ij->i", Zc, Zc)

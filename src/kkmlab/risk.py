@@ -24,7 +24,7 @@ from .errors import (
     NonPositiveRisk,
     SingularLandmarkBlockWarning,
 )
-from .kernels import GramMatrix, KernelSpec, effective_dimension, gram_matrix
+from .kernels import GramMatrix, KernelSpec, capped_effective_dimension, gram_matrix
 from .nystrom import (
     euclidean_kmeanspp_labels,
     euclidean_lloyd,
@@ -131,7 +131,7 @@ class MPolicy:
         if self.mode not in ("fixed", "general", "eigendecay", "linear_k"):
             raise ValueError(f"unknown m policy mode {self.mode!r}")
         if self.mode == "fixed" and (self.m is None or self.m < 1):
-            raise ValueError("fixed m policy needs m >= 1")
+            raise ValueError(f"fixed m policy needs m >= 1, got {self.m}")
 
     def describe(self) -> str:
         if self.mode == "fixed":
@@ -140,10 +140,11 @@ class MPolicy:
 
     def landmarks_for(self, K: GramMatrix, n: int, k: int) -> int:
         if self.mode == "fixed":
-            return int(min(max(self.m, 1), n))
+            return int(min(self.m, n))
         xi = None
         if self.mode in ("general", "linear_k"):
-            xi = effective_dimension(K)
+            # landmark_size reads only min(k, xi)
+            xi = capped_effective_dimension(K, k)
         return landmark_size(n, k, self.delta, xi=xi, mode=self.mode, c_scale=self.c_scale)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._common import ensure_rng
 from .clustering import Assignment, cluster_cost, kernel_lloyd
-from .errors import EmptyCluster, InvariantViolated, KTooLarge
+from .errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from .kernels import GramMatrix, dists_to_points
 
 __all__ = [
@@ -96,12 +96,34 @@ def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> Seedi
 
 
 def _dsq_draw(rng: np.random.Generator, d2: np.ndarray) -> int:
-    """Sample an index with probability proportional to d2 (must not be all zero)."""
-    total = float(d2.sum())
-    choice = int(rng.choice(d2.size, p=d2 / total))
+    """Sample an index with probability proportional to d2 (must not be all zero).
+
+    Consumes one ``rng.random()`` and returns what
+    ``rng.choice(d2.size, p=d2 / d2.sum())`` returns, by the same
+    arithmetic, without that call's checks on ``p``.
+    """
+    cdf = (d2 / float(d2.sum())).cumsum()
+    cdf /= cdf[-1]
+    choice = int(cdf.searchsorted(rng.random(), side="right"))
     if not d2[choice] > 0.0:
         raise InvariantViolated(f"D^2 sampler drew point {choice}, which has zero weight")
     return choice
+
+
+def _dsq_centers(n: int, k: int, rng: np.random.Generator, dists_to) -> list[int]:
+    """k distinct point indices by D^2 sampling, in either geometry:
+    ``dists_to(i)`` returns every point's squared distance to point i."""
+    centers = [int(rng.integers(n))]
+    d2 = dists_to(centers[0])
+    for _ in range(1, k):
+        if d2.sum() > 0.0:
+            nxt = _dsq_draw(rng, d2)
+        else:
+            remaining = np.setdiff1d(np.arange(n), np.asarray(centers))
+            nxt = int(rng.choice(remaining))
+        centers.append(nxt)
+        d2 = np.minimum(d2, dists_to(nxt))
+    return centers
 
 
 def kernel_kmeanspp(K: GramMatrix, k: int, rng=None) -> SeedingResult:
@@ -114,22 +136,12 @@ def kernel_kmeanspp(K: GramMatrix, k: int, rng=None) -> SeedingResult:
     that k distinct indices are still returned.
     """
     n = K.n
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds n={n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     rng = ensure_rng(rng)
-
-    centers = [int(rng.integers(n))]
-    d2 = dists_to_points(K, centers[:1])[:, 0]
-    for _ in range(1, k):
-        if d2.sum() > 0.0:
-            nxt = _dsq_draw(rng, d2)
-        else:
-            remaining = np.setdiff1d(np.arange(n), np.asarray(centers))
-            nxt = int(rng.choice(remaining))
-        centers.append(nxt)
-        d2 = np.minimum(d2, dists_to_points(K, [nxt])[:, 0])
+    centers = _dsq_centers(n, k, rng, lambda i: dists_to_points(K, [i])[:, 0])
     return _result_for_centers(K, np.asarray(centers), swaps=0)
 
 

@@ -226,6 +226,48 @@ class TestConfigValidation:
         assert main(["risk-scan", "--config", str(cfg)]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @staticmethod
+    def assert_one_line_error(capsys, word):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and word in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["cluster", "--method", "nystrom"], ["nystrom-embed"]])
+    def test_fixed_landmarks_without_m_exit_two(self, config_file, capsys, command):
+        cfg, _ = config_file(body=BASE_CONFIG.replace("m = 6\nmode", "mode"))
+        assert main([*command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[nystrom]")
+
+    @pytest.mark.parametrize("command", [["cluster", "--method", "nystrom"], ["nystrom-embed"]])
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_fixed_landmarks_below_one_exit_two(self, config_file, capsys, command, m):
+        # used to be clamped to one landmark
+        cfg, _ = config_file()
+        assert main([*command, "--config", str(cfg), "--m", m]) == 2
+        self.assert_one_line_error(capsys, f"got {m}")
+
+    def test_unknown_landmark_mode_exits_two(self, config_file, capsys):
+        cfg, _ = config_file(body=BASE_CONFIG.replace("mode = fixed", "mode = bogus"))
+        assert main(["nystrom-embed", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "bogus")
+
+    def test_sweep_m_fixed_below_one_exits_two(self, config_file, capsys):
+        cfg, _ = config_file(body=BASE_CONFIG.replace("m_fixed = 8", "m_fixed = 0"))
+        assert main(["risk-scan", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[sweep]")
+
+    @pytest.mark.parametrize("method", ["lloyd", "nystrom"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_flag_exits_two(self, config_file, capsys, method, k):
+        cfg, _ = config_file()
+        assert main(["cluster", "--config", str(cfg), "--method", method, "--k", k]) == 2
+        self.assert_one_line_error(capsys, "[cluster] k")
+
+    def test_k_below_one_setting_exits_two(self, config_file, capsys):
+        cfg, _ = config_file(body=BASE_CONFIG.replace("k = 2\nmethod", "k = 0\nmethod"))
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[cluster] k")
+
     def test_empty_sweep_grid_rejected(self, config_file):
         body = BASE_CONFIG.replace("n_values = 16, 24, 32", "n_values =")
         cfg, _ = config_file(body=body)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,15 @@ from kkmlab import (
     brute_force_erm,
     cluster_cost,
     gram_matrix,
+    kernel_kmeanspp,
     kernel_lloyd,
     point_center_dist_sq,
     random_assignment,
 )
+import kkmlab.clustering as clustering_module
 from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import blob_labels, two_blob_points
-from kkmlab.errors import EmptyCluster, IndexOutOfRange, InstanceTooLarge, KTooLarge
+from kkmlab.errors import EmptyCluster, IndexOutOfRange, InstanceTooLarge, KTooLarge, KTooSmall
 from kkmlab.kernels import GramMatrix
 
 
@@ -167,6 +171,48 @@ class TestKernelLloyd:
         with pytest.raises(EmptyCluster):
             kernel_lloyd(K, Assignment.from_labels([0, 0, 1], 3))
 
+    @staticmethod
+    def blob_instance(seed, n, k, init):
+        rng = np.random.default_rng(seed)
+        centers = 3.0 * rng.normal(size=(k, 2))
+        X = centers[rng.integers(k, size=n)] + rng.normal(size=(n, 2))
+        K = gram_matrix(KernelSpec("gaussian", bandwidth=1.5), X)
+        a0 = random_assignment(n, k, rng) if init == "random" else kernel_kmeanspp(K, k, rng).induced
+        return K, a0
+
+    @pytest.mark.parametrize(
+        "seed, n, k, init, max_iter, labels_sha, iterations, converged, cost",
+        [
+            (5, 300, 5, "random", 300, "c920ac6201445eb1", 8, True, 0.466957115020251),
+            (11, 320, 6, "kmeanspp", 300, "31329fe0fdd31b29", 17, True, 0.4092316759850549),
+            # one empty-cluster repair on the way
+            (0, 300, 12, "random", 300, "96f1f5b0a6228544", 11, True, 0.3153555829913547),
+            (23, 400, 10, "kmeanspp", 4, "04f443f40ce25fd1", 4, False, 0.34147358648192605),
+        ],
+    )
+    def test_fixed_seed_regression(
+        self, seed, n, k, init, max_iter, labels_sha, iterations, converged, cost
+    ):
+        # pinned from the loop that recomputed the Gram product for the cost
+        K, a0 = self.blob_instance(seed, n, k, init)
+        a, trace = kernel_lloyd(K, a0, max_iter=max_iter)
+        assert hashlib.sha256(a.labels.tobytes()).hexdigest()[:16] == labels_sha
+        assert trace.iterations == iterations
+        assert trace.converged is converged
+        assert trace.per_iteration_cost.size == iterations + 1
+        assert trace.per_iteration_cost[-1] == pytest.approx(cost, rel=1e-12, abs=0.0)
+
+    def test_one_linkage_per_step(self, monkeypatch):
+        calls = []
+        real = clustering_module._cluster_linkage
+        monkeypatch.setattr(
+            clustering_module, "_cluster_linkage", lambda *a: calls.append(1) or real(*a)
+        )
+        K, a0 = self.blob_instance(0, 300, 12, "random")
+        _, trace = kernel_lloyd(K, a0)
+        assert trace.iterations > 1
+        assert len(calls) == trace.iterations + 1
+
 
 class TestBruteForceErm:
     def test_k_equals_n_is_zero(self):
@@ -197,6 +243,12 @@ class TestBruteForceErm:
         K2 = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(3, 2)))
         with pytest.raises(KTooLarge):
             brute_force_erm(K2, 5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_an_input_error(self, k):
+        K = gram_matrix(KernelSpec("gaussian"), np.random.default_rng(8).normal(size=(4, 2)))
+        with pytest.raises(KTooSmall, match="k must be >= 1"):
+            brute_force_erm(K, k)
 
     def test_enumeration_counts_match_stirling(self):
         # S(6,3) = 90, S(5,2) = 15 exact-k partitions

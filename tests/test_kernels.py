@@ -14,7 +14,10 @@ from kkmlab import (
     gram_matrix,
     kernel_dist_sq,
     spectrum_of,
+    standard_benchmark,
 )
+import kkmlab.kernels as kernels_module
+from kkmlab.kernels import capped_effective_dimension
 from kkmlab.errors import (
     IndexOutOfRange,
     InvalidDecayParams,
@@ -184,6 +187,70 @@ class TestEffectiveDimension:
         sp = Spectrum.from_values([2.0, -1e-12])
         assert np.all(sp.eigenvalues >= 0.0)
         assert sp.eigenvalues[0] == 2.0
+
+
+def trace_bound(K):
+    """The Cauchy-Schwarz lower bound tr(K)^2 / (||K||_F^2 + tr K) on xi."""
+    tr = float(np.trace(K.entries))
+    return tr * tr / (float(np.sum(K.entries**2)) + tr)
+
+
+def blob_gram(n=2048, k=8, seed=3):
+    rng = np.random.default_rng(seed)
+    centers = 4.0 * rng.normal(size=(k, 3))
+    return gram_matrix(KernelSpec("gaussian"), centers[np.arange(n) % k] + rng.normal(size=(n, 3)))
+
+
+def benchmark_sample_gram(seed=0, n=64):
+    P = standard_benchmark(4)
+    rng = np.random.default_rng(seed)
+    return gram_matrix(P.kernel, P.atoms[rng.choice(P.n_atoms, size=n, p=P.weights)])
+
+
+class TestCappedEffectiveDimension:
+    @staticmethod
+    def assert_capped_equals_min(K, caps):
+        xi = effective_dimension(K)
+        for cap in caps:
+            assert capped_effective_dimension(K, cap) == min(float(cap), xi)
+
+    def test_identity(self):
+        # xi = n/2 equals the bound, so caps below it certify and the rest do not
+        for n in (2, 10, 100):
+            K = GramMatrix.from_entries(np.eye(n))
+            self.assert_capped_equals_min(K, (1, n // 2 - 1, n / 2, n // 2 + 1, n))
+
+    def test_rank_one(self):
+        v = np.array([1.0, 2.0, -0.5, 0.25])
+        K = GramMatrix.from_entries(np.outer(v, v))
+        self.assert_capped_equals_min(K, (0.5, 1, 2, 8))
+
+    def test_zero_matrix_takes_the_exact_path(self):
+        K = GramMatrix.from_entries(np.zeros((5, 5)))
+        self.assert_capped_equals_min(K, (1, 4))
+
+    def test_blob_gram_certified(self):
+        K = blob_gram()
+        assert trace_bound(K) > 8 * (1 + 1e-9)
+        self.assert_capped_equals_min(K, (2, 8, 16))
+
+    def test_benchmark_sample_not_certified(self):
+        # the bound sits near 3.5 while xi is above 7, so k = 4 needs the spectrum
+        K = benchmark_sample_gram()
+        assert trace_bound(K) < 4 < effective_dimension(K)
+        self.assert_capped_equals_min(K, (2, 4, 8))
+
+    def test_eigendecomposition_skipped_only_when_certified(self, monkeypatch):
+        calls = []
+        real = kernels_module.spectrum_of
+        monkeypatch.setattr(kernels_module, "spectrum_of", lambda K: calls.append(1) or real(K))
+        K = GramMatrix.from_entries(np.eye(40))
+        assert capped_effective_dimension(K, 8) == 8.0
+        assert calls == []
+        assert capped_effective_dimension(K, 20) == 20.0
+        assert calls == [1]
+        capped_effective_dimension(benchmark_sample_gram(), 4)
+        assert calls == [1, 1]
 
 
 class TestEigendecayBound:

@@ -8,7 +8,10 @@ from kkmlab import (
     MPolicy,
     beta_ratio_study,
     cluster_cost,
+    effective_dimension,
+    gram_matrix,
     kernel_lloyd,
+    landmark_size,
     optimal_risk,
     population_risk,
     random_assignment,
@@ -166,6 +169,25 @@ class TestOptimalRiskCache:
         assert fresh == first  # the cached result equals an uncached one
         optimal_risk(P, 4, surrogate_runs=6)
         assert len(fits) == 16
+
+
+class TestMPolicy:
+    @pytest.mark.parametrize("mode", ["general", "linear_k"])
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_landmark_count_matches_full_effective_dimension(self, mode, k):
+        # certified at k <= 8 on the blobs, not at k = 4 on the benchmark sample
+        rng = np.random.default_rng(12)
+        centers = 4.0 * rng.normal(size=(8, 3))
+        X = centers[np.arange(512) % 8] + rng.normal(size=(512, 3))
+        P4 = standard_benchmark(4)
+        for K in (
+            gram_matrix(KernelSpec("gaussian"), X),
+            gram_matrix(P4.kernel, P4.atoms[rng.choice(P4.n_atoms, size=64, p=P4.weights)]),
+        ):
+            policy = MPolicy(mode, c_scale=1.0, delta=0.1)
+            xi = effective_dimension(K)
+            want = landmark_size(K.n, k, 0.1, xi=xi, mode=mode, c_scale=1.0)
+            assert policy.landmarks_for(K, K.n, k) == want
 
 
 class TestRunCell:

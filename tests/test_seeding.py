@@ -13,7 +13,7 @@ from kkmlab import (
     local_search_improve,
 )
 from kkmlab.datasets import blob_labels, two_blob_points
-from kkmlab.errors import InvariantViolated, KTooLarge
+from kkmlab.errors import InvariantViolated, KTooLarge, KTooSmall
 from kkmlab.kernels import dists_to_points
 from kkmlab.seeding import _dsq_draw, _labels_cost, _swap_costs
 
@@ -95,15 +95,38 @@ class TestKmeansPP:
         with pytest.raises(KTooLarge):
             kernel_kmeanspp(K, 4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_an_input_error(self, k):
+        K = gram_matrix(KernelSpec("linear"), np.eye(3))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(KTooSmall, match="k must be >= 1"):
+            kernel_kmeanspp(K, k, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestDsqDraw:
     def test_zero_weight_draw_raises_typed_error(self):
         class ZeroWeightRng:
-            def choice(self, size, p=None):
-                return 0  # d2[0] is zero
+            def random(self):
+                return -0.5  # below the whole CDF, so the draw lands on d2[0], which is zero
 
         with pytest.raises(InvariantViolated):
             _dsq_draw(ZeroWeightRng(), np.array([0.0, 1.0, 2.0]))
+
+    def test_draws_as_generator_choice_does(self):
+        # same index and same generator state as rng.choice with p = d2 / sum
+        for seed in range(300):
+            g = np.random.default_rng([seed, 0xD2])
+            n = 1 + seed
+            d2 = g.exponential(size=n) * (g.random(n) < 0.7)
+            d2[g.integers(n)] = g.exponential()  # at least one positive weight
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            for _ in range(3):
+                want = int(theirs.choice(n, p=d2 / float(d2.sum())))
+                assert _dsq_draw(ours, d2) == want
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestSwapCosts:
