@@ -112,7 +112,7 @@ def _read_points_csv(path: str) -> np.ndarray:
         raise ConfigError("data source csv needs a path")
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -123,6 +123,10 @@ def _read_points_csv(path: str) -> np.ndarray:
                 if rows:
                     raise ConfigError(f"non-numeric row in {path}: {line!r}") from None
                 continue  # header row
+            if len(cells) != len(rows[0]):
+                raise ConfigError(
+                    f"line {lineno} of {path} has {len(cells)} values, not {len(rows[0])}"
+                )
     if not rows:
         raise ConfigError(f"no numeric rows in {path}")
     return np.asarray(rows, dtype=float)
@@ -273,6 +277,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"data file not found: {cfg.data.path}")
     if cfg.cluster.k < 1:
         raise ConfigError(f"[cluster] k must be >= 1, got {cfg.cluster.k}")
+    if cfg.cluster.rounds is not None and cfg.cluster.rounds < 0:
+        raise ConfigError(f"[cluster] rounds must be >= 0, got {cfg.cluster.rounds}")
+    if not cfg.nystrom.c_scale > 0:
+        raise ConfigError(f"[nystrom] c_scale must be positive, got {cfg.nystrom.c_scale}")
     if not cfg.lab.grid:
         raise ConfigError("[lab] grid must be nonempty")
     if not cfg.sweep.n_values or not cfg.sweep.k_values or not cfg.sweep.methods:

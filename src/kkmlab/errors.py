@@ -10,7 +10,7 @@ class KKMLabError(Exception):
 
 
 class NonFiniteInput(KKMLabError):
-    """Input points contain NaN or infinity."""
+    """Input points contain NaN or infinity, or the kernel overflows on them."""
 
 
 class NormalizationViolated(KKMLabError):

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _STRICT_IMPROVEMENT = 1e-12
+_BLOCK_ELEMENTS = 2**16  # cap on B * n * k^2, the floats in a block's one-hot stack
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,6 @@ class SeedingResult:
     swaps_accepted: int
 
 
-def _labels_for_centers(K: GramMatrix, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels; ties go to the lowest center position."""
-    return np.argmin(dists_to_points(K, centers), axis=1).astype(np.int64)
-
-
 def _labels_cost(K: GramMatrix, labels: np.ndarray, k: int) -> float:
     """Mean-centroid cost of a labeling, or +inf if some cluster is empty."""
     sizes = np.bincount(labels, minlength=k)
@@ -58,32 +54,42 @@ def _labels_cost(K: GramMatrix, labels: np.ndarray, k: int) -> float:
     return max(cost, 0.0)
 
 
-def _swap_costs(K: GramMatrix, center_dists: np.ndarray, cand_col: np.ndarray) -> np.ndarray:
-    """Costs of all k single-center swaps, scored as one batch.
+def _swap_costs(K: GramMatrix, center_dists: np.ndarray, cand_cols: np.ndarray) -> np.ndarray:
+    """Costs of all single-center swaps for B candidates, scored as one batch.
 
-    Entry p is the mean-centroid cost of the nearest-center labeling after
-    center p's distance column is replaced by ``cand_col``, or +inf if that
-    labeling leaves a cluster empty.  Each entry equals ``_labels_cost`` of
-    the same labeling bit for bit: the per-trial arithmetic is unchanged.
+    Entry (b, p) is the mean-centroid cost of the nearest-center labeling
+    after center p's distance column is replaced by ``cand_cols[:, b]``, or
+    +inf if that labeling leaves a cluster empty.  Each entry equals
+    ``_labels_cost`` of the same labeling bit for bit: the labels keep
+    ``np.argmin``'s first-minimum rule, and each trial keeps its own ``K @ G``
+    (one wide product could use other BLAS kernels, so other bits).
     """
     n, k = center_dists.shape
+    B = cand_cols.shape[1]
     pos = np.arange(k)
-    trial = np.repeat(center_dists[None, :, :], k, axis=0)
-    trial[pos, :, pos] = cand_col
-    labels = np.argmin(trial, axis=2)
+    first = np.argmin(center_dists, axis=1)
+    rest = center_dists.copy()
+    rest[np.arange(n), first] = np.inf
+    # the nearest center other than p is the nearest one, or the second if p is the nearest
+    is_first = pos[:, None] == first
+    other = np.where(is_first, np.argmin(rest, axis=1), first)
+    other_d = np.where(is_first, rest.min(axis=1), center_dists.min(axis=1))
+    cand = cand_cols.T[:, None, :]
+    takes_cand = (cand < other_d) | ((cand == other_d) & (pos[:, None] < other))
+    labels = np.where(takes_cand, pos[:, None], other).reshape(B * k, n)
+    sizes = np.bincount((labels + k * np.arange(B * k)[:, None]).ravel(), minlength=B * k * k)
+    sizes = sizes.reshape(B * k, k)
     G = (labels[:, :, None] == pos).astype(float)
     T = np.einsum("pij,pij->pj", G, np.matmul(K.entries, G))
-    sizes = G.sum(axis=1)
-    empty = np.any(sizes == 0.0, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         costs = (float(np.sum(K.diag)) - np.sum(T / sizes, axis=1)) / n
     costs = np.maximum(costs, 0.0)
-    costs[empty] = np.inf
-    return costs
+    costs[np.any(sizes == 0, axis=1)] = np.inf
+    return costs.reshape(B, k)
 
 
 def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> SeedingResult:
-    labels = _labels_for_centers(K, centers)
+    labels = np.argmin(dists_to_points(K, centers), axis=1)  # ties: lowest position
     induced = Assignment.from_labels(labels, len(centers))
     if np.any(induced.cluster_sizes == 0):
         raise EmptyCluster("duplicate data points left a center with no cell")
@@ -95,19 +101,21 @@ def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> Seedi
     )
 
 
-def _dsq_draw(rng: np.random.Generator, d2: np.ndarray) -> int:
-    """Sample an index with probability proportional to d2 (must not be all zero).
+def _dsq_draw(rng: np.random.Generator, d2: np.ndarray, size: int) -> np.ndarray:
+    """Up to ``size`` i.i.d. indices drawn with probability proportional to d2
+    (must not be all zero), from one ``rng.random(size)``.
 
-    Consumes one ``rng.random()`` and returns what
-    ``rng.choice(d2.size, p=d2 / d2.sum())`` returns, by the same
-    arithmetic, without that call's checks on ``p``.
+    Each is what ``rng.choice(d2.size, p=d2 / d2.sum())`` returns from the
+    same uniform, by the same arithmetic, without that call's checks on
+    ``p``.  Draws from the first zero-weight one on are dropped.
     """
     cdf = (d2 / float(d2.sum())).cumsum()
     cdf /= cdf[-1]
-    choice = int(cdf.searchsorted(rng.random(), side="right"))
-    if not d2[choice] > 0.0:
-        raise InvariantViolated(f"D^2 sampler drew point {choice}, which has zero weight")
-    return choice
+    choice = cdf.searchsorted(rng.random(size), side="right")
+    valid = np.logical_and.accumulate(d2[choice] > 0.0)
+    if not valid[0]:
+        raise InvariantViolated(f"D^2 sampler drew point {choice[0]}, which has zero weight")
+    return choice[valid]
 
 
 def _dsq_centers(n: int, k: int, rng: np.random.Generator, dists_to) -> list[int]:
@@ -117,7 +125,7 @@ def _dsq_centers(n: int, k: int, rng: np.random.Generator, dists_to) -> list[int
     d2 = dists_to(centers[0])
     for _ in range(1, k):
         if d2.sum() > 0.0:
-            nxt = _dsq_draw(rng, d2)
+            nxt = int(_dsq_draw(rng, d2, 1)[0])
         else:
             remaining = np.setdiff1d(np.arange(n), np.asarray(centers))
             nxt = int(rng.choice(remaining))
@@ -156,6 +164,12 @@ def local_search_improve(
     Per round: draw a candidate point by D^2 sampling against the current
     centers, try swapping it for each center in turn, and keep the best
     strictly improving swap if any.
+
+    A rejected round changes nothing, so rounds are scored in blocks of
+    candidates drawn at once; the first improving one is applied and the
+    generator rewound to just after its draw, so results and generator state
+    equal the round-by-round loop's.  Blocks double in width until a swap,
+    then restart at 1; B * n * k^2 stays within ``_BLOCK_ELEMENTS``.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -169,22 +183,28 @@ def local_search_improve(
 
     center_dists = dists_to_points(K, centers)
     d2 = center_dists.min(axis=1)
-
-    for _ in range(rounds):
-        if d2.sum() <= 0.0:
-            break  # every point sits on a center; no swap can help
-        cand = _dsq_draw(rng, d2)
-
-        cand_col = dists_to_points(K, [cand])[:, 0]
-        costs = _swap_costs(K, center_dists, cand_col)
-        best_pos = int(np.argmin(costs))  # first minimum: lowest position wins ties
-        best_cost = float(costs[best_pos])
-
-        if best_cost < cost - _STRICT_IMPROVEMENT:
-            centers[best_pos] = cand
-            cost = best_cost
+    max_width = max(1, _BLOCK_ELEMENTS // (K.n * len(centers) ** 2))
+    width = 1
+    while rounds > 0 and d2.sum() > 0.0:  # else every point sits on a center
+        size = min(width, rounds)
+        state = rng.bit_generator.state
+        cands = _dsq_draw(rng, d2, size)
+        cand_cols = dists_to_points(K, cands)
+        costs = _swap_costs(K, center_dists, cand_cols)
+        better = costs.min(axis=1) < cost - _STRICT_IMPROVEMENT
+        j = int(np.argmax(better))  # the first improving candidate, if any
+        used = j + 1 if better[j] else len(cands)
+        if used < size:  # rewind past the draws the round-by-round loop never made
+            rng.bit_generator.state = state
+            rng.random(used)
+        rounds -= used
+        width = 1 if better[j] else min(2 * width, max_width)
+        if better[j]:
+            p = int(np.argmin(costs[j]))  # first minimum: lowest position wins ties
+            centers[p] = cands[j]
+            cost = float(costs[j, p])
             swaps += 1
-            center_dists[:, best_pos] = cand_col
+            center_dists[:, p] = cand_cols[:, j]
             d2 = center_dists.min(axis=1)
 
     return _result_for_centers(K, centers, swaps=swaps)

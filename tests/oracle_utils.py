@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from kkmlab.errors import InvariantViolated
+from kkmlab.kernels import dists_to_points
+from kkmlab.seeding import _labels_cost, _result_for_centers
+
 
 def grid_supremum(data, sigma, rounds=4, res=81):
     """Refining 2-d grid search for sup_{||c||<=1} sum_j sigma_j ||phi_j-c||^2.
@@ -35,3 +39,44 @@ def grid_supremum(data, sigma, rounds=4, res=81):
         half_b = 2.0 * (hi_b - lo_b) / (res - 1)
         lo_b, hi_b = max(cb - half_b, -1.0), min(cb + half_b, 1.0)
     return base + best
+
+
+def sequential_local_search(K, seed, rounds, rng):
+    """Round-by-round D^2 local search: the reference for the block loop.
+
+    One ``rng.random()`` per round, every swap scored on its own by
+    ``_labels_cost``; returns the result and the indices of the rounds that
+    accepted a swap.
+    """
+    if rounds == 0:
+        return seed, []
+    centers = np.asarray(seed.center_indices, dtype=np.int64).copy()
+    cost = float(seed.cost)
+    swaps = int(seed.swaps_accepted)
+    k = len(centers)
+    center_dists = dists_to_points(K, centers)
+    d2 = center_dists.min(axis=1)
+    accepted = []
+    for r in range(rounds):
+        if d2.sum() <= 0.0:
+            break
+        cdf = (d2 / float(d2.sum())).cumsum()
+        cdf /= cdf[-1]
+        cand = int(cdf.searchsorted(rng.random(), side="right"))
+        if not d2[cand] > 0.0:
+            raise InvariantViolated(f"D^2 sampler drew point {cand}, which has zero weight")
+        cand_col = dists_to_points(K, [cand])[:, 0]
+        costs = []
+        for pos in range(k):
+            trial = center_dists.copy()
+            trial[:, pos] = cand_col
+            costs.append(_labels_cost(K, np.argmin(trial, axis=1).astype(np.int64), k))
+        best_pos = int(np.argmin(costs))
+        if costs[best_pos] < cost - 1e-12:
+            centers[best_pos] = cand
+            cost = costs[best_pos]
+            swaps += 1
+            accepted.append(r)
+            center_dists[:, best_pos] = cand_col
+            d2 = center_dists.min(axis=1)
+    return _result_for_centers(K, centers, swaps=swaps), accepted

@@ -268,6 +268,36 @@ class TestConfigValidation:
         assert main(["cluster", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "[cluster] k")
 
+    def test_negative_rounds_exits_two(self, config_file, capsys):
+        cfg, _ = config_file(body=BASE_CONFIG.replace("restarts = 5", "restarts = 5\nrounds = -1"))
+        assert main(["cluster", "--config", str(cfg), "--method", "approx"]) == 2
+        self.assert_one_line_error(capsys, "[cluster] rounds")
+
+    @pytest.mark.parametrize(
+        "command", [["cluster", "--method", "nystrom"], ["nystrom-embed"], ["spectrum"]]
+    )
+    def test_nonpositive_c_scale_exits_two(self, config_file, capsys, command):
+        body = BASE_CONFIG.replace("mode = fixed", "mode = general\nc_scale = 0")
+        cfg, _ = config_file(body=body)
+        assert main([*command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[nystrom] c_scale")
+
+    def test_ragged_points_csv_exits_two(self, config_file, capsys, tmp_path):
+        data = tmp_path / "pts.csv"
+        data.write_text("x,y\n0,0\n0.2\n5,5\n", encoding="utf-8")
+        body = BASE_CONFIG.replace("source = synthetic", f"source = csv\npath = {data}")
+        cfg, _ = config_file(body=body)
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "line 3")
+
+    def test_overflowing_kernel_exits_two(self, config_file, capsys):
+        body = BASE_CONFIG.replace(
+            "family = gaussian", "family = polynomial\ndegree = 60\noffset = 1.0"
+        ).replace("source = synthetic", "source = inline\ninline = 1e3 1e3; -1e3 1e3; 1e3 -1e3")
+        cfg, _ = config_file(body=body)
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "overflows")
+
     def test_empty_sweep_grid_rejected(self, config_file):
         body = BASE_CONFIG.replace("n_values = 16, 24, 32", "n_values =")
         cfg, _ = config_file(body=body)

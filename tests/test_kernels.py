@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ class TestGramMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             gram_matrix(KernelSpec("linear"), [[1.0, np.nan]])
+
+    def test_overflowing_kernel_rejected(self):
+        # (x.y + 1)^60 overflows for |x.y| = 2e6; raised as a typed error, with no RuntimeWarning
+        X = np.random.default_rng(4).choice([-1e3, 1e3], size=(6, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="overflows"):
+                gram_matrix(KernelSpec("polynomial", degree=60, offset=1.0), X)
 
     def test_normalization_violated_for_linear(self):
         spec = KernelSpec("linear", normalize=True)

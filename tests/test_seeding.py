@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from numpy.random import PCG64
 
 from kkmlab import (
     KernelSpec,
@@ -12,10 +13,12 @@ from kkmlab import (
     kernel_kmeanspp,
     local_search_improve,
 )
+from kkmlab import seeding
 from kkmlab.datasets import blob_labels, two_blob_points
-from kkmlab.errors import InvariantViolated, KTooLarge, KTooSmall
+from kkmlab.errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from kkmlab.kernels import dists_to_points
 from kkmlab.seeding import _dsq_draw, _labels_cost, _swap_costs
+from oracle_utils import sequential_local_search
 
 
 def discrete_subset_optimum(K, k):
@@ -108,11 +111,11 @@ class TestKmeansPP:
 class TestDsqDraw:
     def test_zero_weight_draw_raises_typed_error(self):
         class ZeroWeightRng:
-            def random(self):
-                return -0.5  # below the whole CDF, so the draw lands on d2[0], which is zero
+            def random(self, size=None):
+                return np.full(size, -0.5)  # below the whole CDF: lands on d2[0], which is zero
 
         with pytest.raises(InvariantViolated):
-            _dsq_draw(ZeroWeightRng(), np.array([0.0, 1.0, 2.0]))
+            _dsq_draw(ZeroWeightRng(), np.array([0.0, 1.0, 2.0]), 1)
 
     def test_draws_as_generator_choice_does(self):
         # same index and same generator state as rng.choice with p = d2 / sum
@@ -125,7 +128,7 @@ class TestDsqDraw:
             theirs = np.random.default_rng(seed)
             for _ in range(3):
                 want = int(theirs.choice(n, p=d2 / float(d2.sum())))
-                assert _dsq_draw(ours, d2) == want
+                assert _dsq_draw(ours, d2, 1).tolist() == [want]
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -137,13 +140,15 @@ class TestSwapCosts:
         for _ in range(5):
             K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(n, 3)))
             center_dists = dists_to_points(K, rng.choice(n, size=k, replace=False))
-            cand_col = dists_to_points(K, [int(rng.integers(n))])[:, 0]
-            costs = _swap_costs(K, center_dists, cand_col)
-            for pos in range(k):
-                trial = center_dists.copy()
-                trial[:, pos] = cand_col
-                labels = np.argmin(trial, axis=1).astype(np.int64)
-                assert costs[pos] == _labels_cost(K, labels, k)
+            cand_cols = dists_to_points(K, [int(rng.integers(n)), 0, n - 1])
+            batch = _swap_costs(K, center_dists, cand_cols)
+            assert batch.shape == (3, k)
+            for b, costs in enumerate(batch):
+                for pos in range(k):
+                    trial = center_dists.copy()
+                    trial[:, pos] = cand_cols[:, b]
+                    labels = np.argmin(trial, axis=1).astype(np.int64)
+                    assert costs[pos] == _labels_cost(K, labels, k)
 
     def test_trial_that_empties_a_cluster_is_inf(self):
         # point 1 duplicates center 0: putting it in place of center 2 gives
@@ -151,11 +156,23 @@ class TestSwapCosts:
         X = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.2, 0.0], [0.1, 0.0]])
         K = gram_matrix(KernelSpec("gaussian"), X)
         center_dists = dists_to_points(K, [0, 2])
-        cand_col = dists_to_points(K, [1])[:, 0]
-        costs = _swap_costs(K, center_dists, cand_col)
+        costs = _swap_costs(K, center_dists, dists_to_points(K, [1]))[0]
         assert costs[1] == np.inf
         assert np.isfinite(costs[0])
         assert costs[0] == _labels_cost(K, np.argmin(center_dists, axis=1), 2)
+
+    @pytest.mark.parametrize("centers", [[3, 0], [0, 3]])
+    def test_point_tied_between_candidate_and_center(self, centers):
+        # point 1 (x=0) is as far from the candidate (x=1) as from the center x=-1;
+        # the tie goes to the lower position, as in np.argmin
+        K = gram_matrix(KernelSpec("linear"), np.array([[-1.0], [0.0], [1.0], [5.0]]))
+        center_dists = dists_to_points(K, centers)
+        costs = _swap_costs(K, center_dists, dists_to_points(K, [2]))[0]
+        for pos in range(2):
+            trial = center_dists.copy()
+            trial[:, pos] = dists_to_points(K, [2])[:, 0]
+            labels = np.argmin(trial, axis=1).astype(np.int64)
+            assert costs[pos] == _labels_cost(K, labels, 2)
 
     def test_tie_goes_to_lowest_position(self):
         # centers on the two middle points; any D^2 candidate comes from one
@@ -169,7 +186,7 @@ class TestSwapCosts:
             assert out.swaps_accepted == 1
             cand = int(out.center_indices[0])
             assert cand not in (2, 3) and out.center_indices[1] == 3
-            costs = _swap_costs(K, dists_to_points(K, [2, 3]), dists_to_points(K, [cand])[:, 0])
+            costs = _swap_costs(K, dists_to_points(K, [2, 3]), dists_to_points(K, [cand]))[0]
             assert costs[0] == costs[1]
 
 
@@ -232,6 +249,86 @@ class TestLocalSearch:
             if out.cost <= 1.2 * discrete_subset_optimum(K, k) + 1e-12:
                 good += 1
         assert good >= 95
+
+
+def _outcome(search, K, seed, rounds, rng):
+    """What a local search returns with the generator's next uniform after
+    the call, or the error it raises (a block may have drawn past the draw
+    that raised)."""
+    try:
+        out = search(K, seed, rounds, rng)
+    except (EmptyCluster, InvariantViolated) as exc:
+        return type(exc).__name__
+    if isinstance(out, tuple):
+        out = out[0]
+    return (out.center_indices.tolist(), out.cost, out.swaps_accepted), float(rng.random())
+
+
+class TestBlockLoop:
+    """The block loop against the round-by-round oracle: equal centers, cost
+    bits, swap count and generator state."""
+
+    def test_equals_sequential_loop(self):
+        for inst in range(300):
+            g = np.random.default_rng([inst, 0xB10C])
+            n = int(g.integers(5, 261))
+            k = int(g.integers(1, min(9, n) + 1))
+            X = g.normal(size=(n, 2))
+            if inst % 4 == 0:  # duplicated points
+                X[g.integers(n, size=n // 2)] = X[g.integers(n, size=n // 2)]
+            rounds = 2 * int(g.integers(0, 40)) + 1  # odd: no multiple of a width > 1
+            K = gram_matrix(KernelSpec("gaussian"), X)
+            seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
+            got = _outcome(local_search_improve, K, seed, rounds, np.random.default_rng(inst))
+            want = _outcome(sequential_local_search, K, seed, rounds, np.random.default_rng(inst))
+            assert got == want, (inst, n, k, rounds)
+
+    @pytest.mark.parametrize(
+        "first_accept, widths",
+        [(1, [1, 2]), (2, [1, 2]), (3, [1, 2, 4]), (6, [1, 2, 4])],
+        ids=["first-of-2", "last-of-2", "first-of-4", "last-of-4"],
+    )
+    def test_accept_at_either_end_of_a_block(self, monkeypatch, first_accept, widths):
+        seen = []
+
+        def spy(K, center_dists, cand_cols):
+            seen.append(cand_cols.shape[1])
+            return _swap_costs(K, center_dists, cand_cols)
+
+        monkeypatch.setattr(seeding, "_swap_costs", spy)
+        for inst in range(2000):
+            g = np.random.default_rng([inst, 0xED6E])
+            K = gram_matrix(KernelSpec("gaussian"), g.normal(size=(24, 2)))
+            seed = seeding_from_centers(K, g.choice(24, size=3, replace=False))
+            _, accepted = sequential_local_search(K, seed, 15, np.random.default_rng(inst))
+            if accepted[:1] != [first_accept]:
+                continue
+            got = _outcome(local_search_improve, K, seed, 15, np.random.default_rng(inst))
+            assert seen[: len(widths) + 1] == widths + [1]  # the width falls back to 1
+            assert got == _outcome(sequential_local_search, K, seed, 15, np.random.default_rng(inst))
+            return
+        pytest.fail(f"no instance accepts its first swap in round {first_accept}")
+
+    def test_zero_weight_draw_raises_where_the_sequential_loop_does(self):
+        class ZeroWeightRng(np.random.Generator):
+            """Turns about a third of the uniforms into -0.5, a draw that
+            lands on point 0, which has zero weight while it is a center."""
+
+            def random(self, size=None):
+                u = super().random(size)
+                return np.where(u < 0.3, -0.5, u)
+
+        raised = 0
+        for inst in range(60):
+            g = np.random.default_rng([inst, 0x2E60])
+            K = gram_matrix(KernelSpec("gaussian"), g.normal(size=(30, 2)))
+            seed = seeding_from_centers(K, [0, *g.choice(np.arange(1, 30), size=2, replace=False)])
+            rounds = 2 * int(g.integers(1, 10)) + 1
+            got = _outcome(local_search_improve, K, seed, rounds, ZeroWeightRng(PCG64(inst)))
+            want = _outcome(sequential_local_search, K, seed, rounds, ZeroWeightRng(PCG64(inst)))
+            assert got == want, inst
+            raised += got == "InvariantViolated"
+        assert 0 < raised < 60
 
 
 class TestApproximateErm:
