@@ -58,8 +58,6 @@ class NystromConfig:
 class LabConfig:
     trials: int = 10_000
     grid: list[tuple[int, int]] = field(default_factory=lambda: [(2, 4), (2, 8), (4, 8)])
-    delta_exponent: float = 0.01
-    c_const: float = 1.0
 
 
 @dataclass
@@ -94,6 +92,9 @@ class ExperimentConfig:
             pts = [[float(v) for v in r.replace(",", " ").split()] for r in rows]
             if not pts:
                 raise ConfigError("inline data source is empty")
+            for i, row in enumerate(pts, start=1):
+                if len(row) != len(pts[0]):
+                    raise ConfigError(f"inline row {i} has {len(row)} values, not {len(pts[0])}")
             return np.asarray(pts, dtype=float)
         if d.source == "csv":
             return _read_points_csv(d.path)
@@ -215,8 +216,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     lab = LabConfig(
         trials=_get(cp, "lab", "trials", int, 10_000),
         grid=_get(cp, "lab", "grid", _grid_list, LabConfig().grid),
-        delta_exponent=_get(cp, "lab", "delta_exponent", float, 0.01),
-        c_const=_get(cp, "lab", "c_const", float, 1.0),
     )
     sweep = SweepConfig(
         n_values=_get(cp, "sweep", "n_values", _int_list, SweepConfig().n_values),
@@ -277,6 +276,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"data file not found: {cfg.data.path}")
     if cfg.cluster.k < 1:
         raise ConfigError(f"[cluster] k must be >= 1, got {cfg.cluster.k}")
+    if cfg.cluster.restarts < 1:
+        raise ConfigError(f"[cluster] restarts must be >= 1, got {cfg.cluster.restarts}")
     if cfg.cluster.rounds is not None and cfg.cluster.rounds < 0:
         raise ConfigError(f"[cluster] rounds must be >= 0, got {cfg.cluster.rounds}")
     if not cfg.nystrom.c_scale > 0:

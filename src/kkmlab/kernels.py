@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._common import fmt12
 from .errors import (
     IndexOutOfRange,
     InvalidDecayParams,
@@ -34,7 +34,6 @@ __all__ = [
     "effective_dimension",
     "capped_effective_dimension",
     "eigendecay_xi_bound",
-    "gram_to_csv",
 ]
 
 _FAMILIES = ("gaussian", "linear", "polynomial")
@@ -84,8 +83,25 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
+class DistinctGram:
+    """A Gram matrix on its distinct rows: row i is, bit for bit, row
+    ``rep[groups[i]]``, which has ``sizes[groups[i]]`` copies; ``entries``
+    and ``dists`` are the Gram and squared distances of the rows ``rep``, and
+    ``trace`` that of the full Gram."""
+
+    groups: np.ndarray
+    rep: np.ndarray
+    sizes: np.ndarray
+    entries: np.ndarray
+    dists: np.ndarray
+    trace: float
+    margin: float  # bounds |cost on these, copies as weights - cost on the full Gram|
+
+
+@dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric PSD kernel matrix with a cached diagonal.
+    """Symmetric PSD kernel matrix with a cached diagonal, and the distinct
+    input point of each row (``groups``) when known.
 
     Immutable after construction; safe to share across workers.
     """
@@ -93,9 +109,10 @@ class GramMatrix:
     entries: np.ndarray
     diag: np.ndarray = field(repr=False)
     n: int
+    groups: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "GramMatrix":
+    def from_entries(cls, entries: np.ndarray, groups=None) -> "GramMatrix":
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("Gram matrix must be square")
@@ -104,7 +121,32 @@ class GramMatrix:
         entries.setflags(write=False)
         diag = np.ascontiguousarray(np.diagonal(entries))
         diag.setflags(write=False)
-        return cls(entries=entries, diag=diag, n=entries.shape[0])
+        return cls(entries=entries, diag=diag, n=entries.shape[0], groups=groups)
+
+    @cached_property
+    def distinct(self) -> DistinctGram | None:
+        """The Gram on the distinct rows, or None without groups or when more
+        than half the rows are distinct."""
+        if self.groups is None:
+            return None
+        _, first, groups = np.unique(self.groups, return_index=True, return_inverse=True)
+        if 2 * len(first) > self.n:
+            return None
+        # a row that differs from its group's first row in any bit is a group of its own
+        same = np.all(self.entries == self.entries[first[groups]], axis=1)
+        key = np.where(same, groups, self.n + np.arange(self.n))
+        _, rep, groups = np.unique(key, return_index=True, return_inverse=True)
+        if 2 * len(rep) > self.n:
+            return None
+        entries = self.entries[np.ix_(rep, rep)]
+        dists = np.clip(self.diag[rep, None] - 2.0 * entries + self.diag[rep], 0.0, None)
+        # Each side's mean-centroid cost is within gamma_{3n+4} max|K| of its
+        # exact value, gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability
+        # of Numerical Algorithms, 2nd ed., 4.2); 4 roundings more cover the threshold.
+        m = (3 * self.n + 8) * 2.0**-53
+        margin = 2.0 * m / (1.0 - m) * max(float(self.entries.max()), -float(self.entries.min()))
+        sizes = np.bincount(groups).astype(float)
+        return DistinctGram(groups, rep, sizes, entries, dists, float(np.sum(self.diag)), margin)
 
 
 @dataclass(frozen=True)
@@ -163,7 +205,7 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
             raise NormalizationViolated(
                 "normalization flag set but some kappa(x, x) > 1"
             )
-    return GramMatrix.from_entries(K)
+    return GramMatrix.from_entries(K, np.unique(X, axis=0, return_inverse=True)[1])
 
 
 def kernel_dist_sq(K: GramMatrix, i: int, j: int) -> float:
@@ -228,11 +270,3 @@ def eigendecay_xi_bound(c: float, alpha: float, k: int) -> float:
     if k < 1:
         raise InvalidDecayParams(f"k must be >= 1, got {k}")
     return (1.0 + c / (alpha - 1.0)) * math.sqrt(k)
-
-
-def gram_to_csv(K: GramMatrix, path) -> None:
-    """Dump the full matrix row-major to CSV (debugging aid)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"c{j}" for j in range(K.n)) + "\n")
-        for row in K.entries:
-            fh.write(",".join(fmt12(v) for v in row) + "\n")

@@ -43,49 +43,57 @@ class SeedingResult:
     swaps_accepted: int
 
 
-def _labels_cost(K: GramMatrix, labels: np.ndarray, k: int) -> float:
-    """Mean-centroid cost of a labeling, or +inf if some cluster is empty."""
-    sizes = np.bincount(labels, minlength=k)
-    if np.any(sizes == 0):
-        return np.inf
-    G = (labels[:, None] == np.arange(k)[None, :]).astype(float)
-    T = np.einsum("ij,ij->j", G, K.entries @ G)
-    cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
-    return max(cost, 0.0)
-
-
-def _swap_costs(K: GramMatrix, center_dists: np.ndarray, cand_cols: np.ndarray) -> np.ndarray:
-    """Costs of all single-center swaps for B candidates, scored as one batch.
-
-    Entry (b, p) is the mean-centroid cost of the nearest-center labeling
-    after center p's distance column is replaced by ``cand_cols[:, b]``, or
-    +inf if that labeling leaves a cluster empty.  Each entry equals
-    ``_labels_cost`` of the same labeling bit for bit: the labels keep
-    ``np.argmin``'s first-minimum rule, and each trial keeps its own ``K @ G``
-    (one wide product could use other BLAS kernels, so other bits).
-    """
+def _nearest_others(center_dists: np.ndarray):
+    """Per center position p and point i: the nearest center other than p,
+    its distance, and whether p wins a tie with it (``np.argmin``'s rule)."""
     n, k = center_dists.shape
-    B = cand_cols.shape[1]
-    pos = np.arange(k)
+    pos = np.arange(k)[:, None]
     first = np.argmin(center_dists, axis=1)
     rest = center_dists.copy()
     rest[np.arange(n), first] = np.inf
     # the nearest center other than p is the nearest one, or the second if p is the nearest
-    is_first = pos[:, None] == first
+    is_first = pos == first
     other = np.where(is_first, np.argmin(rest, axis=1), first)
     other_d = np.where(is_first, rest.min(axis=1), center_dists.min(axis=1))
+    return other, other_d, pos < other
+
+
+def _weighted_swap_costs(gram, near, cand_cols, weights, trace: float, n: int) -> np.ndarray:
+    """(B, k) mean-centroid costs, or +inf where a cluster is empty, of the
+    nearest-center labelings of the rows of ``gram`` once center p is replaced
+    by the candidate with distance column ``cand_cols[:, b]``.  Row u stands
+    for ``weights[u]`` of the n points, and ``near`` is ``_nearest_others``
+    at the same rows.  Each trial keeps its own product (one wide product
+    could use other BLAS kernels, so other bits)."""
+    other, other_d, wins_tie = near
+    k, rows = other.shape
     cand = cand_cols.T[:, None, :]
-    takes_cand = (cand < other_d) | ((cand == other_d) & (pos[:, None] < other))
-    labels = np.where(takes_cand, pos[:, None], other).reshape(B * k, n)
-    sizes = np.bincount((labels + k * np.arange(B * k)[:, None]).ravel(), minlength=B * k * k)
-    sizes = sizes.reshape(B * k, k)
-    G = (labels[:, :, None] == pos).astype(float)
-    T = np.einsum("pij,pij->pj", G, np.matmul(K.entries, G))
+    takes_cand = (cand < other_d) | ((cand == other_d) & wins_tie)
+    labels = np.where(takes_cand, np.arange(k)[:, None], other).reshape(-1, rows)
+    W = (labels[:, :, None] == np.arange(k)) * weights[:, None]
+    sizes = W.sum(axis=1)
+    T = np.einsum("pij,pij->pj", W, np.matmul(gram, W))
     with np.errstate(divide="ignore", invalid="ignore"):
-        costs = (float(np.sum(K.diag)) - np.sum(T / sizes, axis=1)) / n
+        costs = (trace - (T / sizes).sum(axis=1)) / n
     costs = np.maximum(costs, 0.0)
-    costs[np.any(sizes == 0, axis=1)] = np.inf
-    return costs.reshape(B, k)
+    costs[(sizes == 0).any(axis=1)] = np.inf
+    return costs.reshape(-1, k)
+
+
+def _swap_costs(K: GramMatrix, near, cand_cols: np.ndarray) -> np.ndarray:
+    """Exact ``_weighted_swap_costs`` on the full Gram."""
+    trace = float(np.sum(K.diag))
+    return _weighted_swap_costs(K.entries, near, cand_cols, np.ones(K.n), trace, K.n)
+
+
+def _screen(K: GramMatrix, near, cands: np.ndarray, bar: float) -> np.ndarray:
+    """Positions in ``cands`` of the candidates whose swaps may cost less than
+    ``bar``, scored on ``K.distinct`` (``near`` taken at its rows ``rep``):
+    copies of a row have the same distances, so the same labels."""
+    d = K.distinct
+    cols = d.dists[:, d.groups[cands]]
+    grouped = _weighted_swap_costs(d.entries, near, cols, d.sizes, d.trace, K.n)
+    return np.flatnonzero(grouped.min(axis=1) < bar + d.margin)
 
 
 def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> SeedingResult:
@@ -170,6 +178,10 @@ def local_search_improve(
     generator rewound to just after its draw, so results and generator state
     equal the round-by-round loop's.  Blocks double in width until a swap,
     then restart at 1; B * n * k^2 stays within ``_BLOCK_ELEMENTS``.
+
+    When Gram rows repeat (``K.distinct``), a block is first scored on the
+    distinct rows, and only the candidates this screen cannot reject are
+    scored exactly, so every accepted swap and cost comes from exact scores.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -180,32 +192,43 @@ def local_search_improve(
     centers = np.asarray(seed.center_indices, dtype=np.int64).copy()
     cost = float(seed.cost)
     swaps = int(seed.swaps_accepted)
+    k = len(centers)
 
     center_dists = dists_to_points(K, centers)
-    d2 = center_dists.min(axis=1)
-    max_width = max(1, _BLOCK_ELEMENTS // (K.n * len(centers) ** 2))
-    width = 1
-    while rounds > 0 and d2.sum() > 0.0:  # else every point sits on a center
+    d = K.distinct
+    max_width = max(1, _BLOCK_ELEMENTS // (K.n * k**2))
+    width, moved = 1, True
+    while rounds > 0:
+        if moved:  # what the draws and the trial labels need of the centers
+            d2 = center_dists.min(axis=1)
+            if not d2.sum() > 0.0:  # every point sits on a center
+                break
+            near = _nearest_others(center_dists)
+            near_rep = near if d is None else tuple(a[:, d.rep] for a in near)
         size = min(width, rounds)
         state = rng.bit_generator.state
         cands = _dsq_draw(rng, d2, size)
-        cand_cols = dists_to_points(K, cands)
-        costs = _swap_costs(K, center_dists, cand_cols)
-        better = costs.min(axis=1) < cost - _STRICT_IMPROVEMENT
-        j = int(np.argmax(better))  # the first improving candidate, if any
-        used = j + 1 if better[j] else len(cands)
+        bar = cost - _STRICT_IMPROVEMENT
+        kept = np.arange(len(cands)) if d is None else _screen(K, near_rep, cands, bar)
+        better = np.empty(0, dtype=np.int64)
+        if kept.size:  # score exactly only what the screen cannot reject
+            cand_cols = dists_to_points(K, cands[kept])
+            costs = _swap_costs(K, near, cand_cols)
+            better = np.flatnonzero(costs.min(axis=1) < bar)  # the first one is applied
+        used = int(kept[better[0]]) + 1 if better.size else len(cands)
         if used < size:  # rewind past the draws the round-by-round loop never made
             rng.bit_generator.state = state
             rng.random(used)
         rounds -= used
-        width = 1 if better[j] else min(2 * width, max_width)
-        if better[j]:
+        moved = better.size > 0
+        width = 1 if moved else min(2 * width, max_width)
+        if moved:
+            j = better[0]
             p = int(np.argmin(costs[j]))  # first minimum: lowest position wins ties
-            centers[p] = cands[j]
+            centers[p] = cands[kept[j]]
             cost = float(costs[j, p])
             swaps += 1
             center_dists[:, p] = cand_cols[:, j]
-            d2 = center_dists.min(axis=1)
 
     return _result_for_centers(K, centers, swaps=swaps)
 

@@ -4,7 +4,18 @@ import numpy as np
 
 from kkmlab.errors import InvariantViolated
 from kkmlab.kernels import dists_to_points
-from kkmlab.seeding import _labels_cost, _result_for_centers
+from kkmlab.seeding import _result_for_centers
+
+
+def _labels_cost(K, labels, k):
+    """Mean-centroid cost of a labeling, or +inf if some cluster is empty."""
+    sizes = np.bincount(labels, minlength=k)
+    if np.any(sizes == 0):
+        return np.inf
+    G = (labels[:, None] == np.arange(k)[None, :]).astype(float)
+    T = np.einsum("ij,ij->j", G, K.entries @ G)
+    cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
+    return max(cost, 0.0)
 
 
 def grid_supremum(data, sigma, rounds=4, res=81):

@@ -290,6 +290,22 @@ class TestConfigValidation:
         assert main(["cluster", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "line 3")
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_restarts_below_one_exits_two(self, config_file, capsys, restarts):
+        # restarts = 0 used to leave no Lloyd run and end in a TypeError traceback
+        body = BASE_CONFIG.replace("restarts = 5", f"restarts = {restarts}").replace(
+            "source = synthetic", "source = inline\ninline = 0 0; 0.1 0; 4 4; 4.1 4; 4 4.2; 0 0.2"
+        )
+        cfg, _ = config_file(body=body)
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[cluster] restarts")
+
+    def test_ragged_inline_points_exit_two(self, config_file, capsys):
+        body = BASE_CONFIG.replace("source = synthetic", "source = inline\ninline = 1 2; 3 4; 5")
+        cfg, _ = config_file(body=body)
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "inline row 3")
+
     def test_overflowing_kernel_exits_two(self, config_file, capsys):
         body = BASE_CONFIG.replace(
             "family = gaussian", "family = polynomial\ndegree = 60\noffset = 1.0"

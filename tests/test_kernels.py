@@ -302,19 +302,6 @@ class TestEigendecayBound:
             assert xi <= eigendecay_xi_bound(c, alpha, k) + 1e-12
 
 
-def test_gram_to_csv_roundtrip(tmp_path):
-    from kkmlab.kernels import gram_to_csv
-
-    rng = np.random.default_rng(21)
-    K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(5, 2)))
-    path = tmp_path / "gram.csv"
-    gram_to_csv(K, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "c0,c1,c2,c3,c4"
-    back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.max(np.abs(back - K.entries)) <= 1e-11
-
-
 def test_spectrum_of_is_sorted_and_clamped():
     rng = np.random.default_rng(13)
     K = gram_matrix(KernelSpec("gaussian", bandwidth=0.4), rng.normal(size=(9, 2)))

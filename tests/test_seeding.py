@@ -16,9 +16,9 @@ from kkmlab import (
 from kkmlab import seeding
 from kkmlab.datasets import blob_labels, two_blob_points
 from kkmlab.errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
-from kkmlab.kernels import dists_to_points
-from kkmlab.seeding import _dsq_draw, _labels_cost, _swap_costs
-from oracle_utils import sequential_local_search
+from kkmlab.kernels import GramMatrix, dists_to_points
+from kkmlab.seeding import _dsq_draw, _nearest_others, _swap_costs, _weighted_swap_costs
+from oracle_utils import _labels_cost, sequential_local_search
 
 
 def discrete_subset_optimum(K, k):
@@ -141,7 +141,7 @@ class TestSwapCosts:
             K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(n, 3)))
             center_dists = dists_to_points(K, rng.choice(n, size=k, replace=False))
             cand_cols = dists_to_points(K, [int(rng.integers(n)), 0, n - 1])
-            batch = _swap_costs(K, center_dists, cand_cols)
+            batch = _swap_costs(K, _nearest_others(center_dists), cand_cols)
             assert batch.shape == (3, k)
             for b, costs in enumerate(batch):
                 for pos in range(k):
@@ -156,7 +156,7 @@ class TestSwapCosts:
         X = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.2, 0.0], [0.1, 0.0]])
         K = gram_matrix(KernelSpec("gaussian"), X)
         center_dists = dists_to_points(K, [0, 2])
-        costs = _swap_costs(K, center_dists, dists_to_points(K, [1]))[0]
+        costs = _swap_costs(K, _nearest_others(center_dists), dists_to_points(K, [1]))[0]
         assert costs[1] == np.inf
         assert np.isfinite(costs[0])
         assert costs[0] == _labels_cost(K, np.argmin(center_dists, axis=1), 2)
@@ -167,7 +167,7 @@ class TestSwapCosts:
         # the tie goes to the lower position, as in np.argmin
         K = gram_matrix(KernelSpec("linear"), np.array([[-1.0], [0.0], [1.0], [5.0]]))
         center_dists = dists_to_points(K, centers)
-        costs = _swap_costs(K, center_dists, dists_to_points(K, [2]))[0]
+        costs = _swap_costs(K, _nearest_others(center_dists), dists_to_points(K, [2]))[0]
         for pos in range(2):
             trial = center_dists.copy()
             trial[:, pos] = dists_to_points(K, [2])[:, 0]
@@ -186,7 +186,8 @@ class TestSwapCosts:
             assert out.swaps_accepted == 1
             cand = int(out.center_indices[0])
             assert cand not in (2, 3) and out.center_indices[1] == 3
-            costs = _swap_costs(K, dists_to_points(K, [2, 3]), dists_to_points(K, [cand]))[0]
+            near = _nearest_others(dists_to_points(K, [2, 3]))
+            costs = _swap_costs(K, near, dists_to_points(K, [cand]))[0]
             assert costs[0] == costs[1]
 
 
@@ -291,9 +292,9 @@ class TestBlockLoop:
     def test_accept_at_either_end_of_a_block(self, monkeypatch, first_accept, widths):
         seen = []
 
-        def spy(K, center_dists, cand_cols):
+        def spy(K, near, cand_cols):
             seen.append(cand_cols.shape[1])
-            return _swap_costs(K, center_dists, cand_cols)
+            return _swap_costs(K, near, cand_cols)
 
         monkeypatch.setattr(seeding, "_swap_costs", spy)
         for inst in range(2000):
@@ -329,6 +330,158 @@ class TestBlockLoop:
             assert got == want, inst
             raised += got == "InvariantViolated"
         assert 0 < raised < 60
+
+
+_SCREEN_SPECS = (
+    KernelSpec("gaussian", bandwidth=1.5),
+    KernelSpec("linear"),
+    KernelSpec("polynomial", degree=3, offset=1.0),
+)
+
+
+def duplicated_sample(inst):
+    """n points (5 to 512, log-uniform) drawn from at most 30 distinct ones,
+    never more than n/2, under one of the three kernel families; k is at
+    most the number of distinct points drawn, and at most 9."""
+    g = np.random.default_rng([inst, 0x5C2E])
+    n = int(np.exp(g.uniform(np.log(5), np.log(513))))
+    atoms = g.normal(size=(int(g.integers(2, min(30, n // 2) + 1)), 2))
+    X = atoms[g.integers(len(atoms), size=n)]
+    k = int(g.integers(1, min(9, len(np.unique(X, axis=0))) + 1))
+    return g, X, gram_matrix(_SCREEN_SPECS[inst % 3], X), k
+
+
+def grouped_and_exact(K, g, k, B=8):
+    """Grouped and exact costs of every swap of B random candidates for k
+    random centers, as two flat arrays."""
+    near = _nearest_others(dists_to_points(K, g.choice(K.n, size=k, replace=False)))
+    cands = g.integers(K.n, size=B)
+    d = K.distinct
+    near_rep = [a[:, d.rep] for a in near]
+    cols = d.dists[:, d.groups[cands]]
+    grouped = _weighted_swap_costs(d.entries, near_rep, cols, d.sizes, d.trace, K.n)
+    return grouped.ravel(), _swap_costs(K, near, dists_to_points(K, cands)).ravel()
+
+
+def assert_within_quarter_margin(K, grouped, exact):
+    finite = np.isfinite(exact)
+    assert np.array_equal(finite, np.isfinite(grouped))
+    assert np.all(np.abs(grouped[finite] - exact[finite]) <= K.distinct.margin / 4)
+
+
+class TestScreen:
+    """The grouped screen on samples with repeated points."""
+
+    def test_distinct_gram(self):
+        for inst in range(30):
+            _, X, K, _ = duplicated_sample(inst)
+            d = K.distinct
+            if d is None:
+                continue
+            # groups split copies of a point only where their Gram rows differ
+            assert np.array_equal(K.entries, K.entries[d.rep[d.groups]])
+            assert np.array_equal(X, X[d.rep[d.groups]])
+            assert np.array_equal(d.rep, [np.flatnonzero(d.groups == u)[0] for u in range(len(d.rep))])
+            assert np.array_equal(d.sizes, np.bincount(d.groups))
+            assert np.array_equal(d.entries, K.entries[np.ix_(d.rep, d.rep)])
+            assert np.array_equal(d.dists, dists_to_points(K, d.rep)[d.rep])
+            assert 0.0 < d.margin < 1e-10 * np.abs(K.entries).max()
+
+    def test_screened_loop_equals_sequential_loop(self):
+        screened = 0
+        for inst in range(300):
+            g, _, K, k = duplicated_sample(inst)
+            screened += K.distinct is not None
+            rounds = 2 * int(g.integers(0, 20)) + 1
+            seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
+            got = _outcome(local_search_improve, K, seed, rounds, np.random.default_rng(inst))
+            want = _outcome(sequential_local_search, K, seed, rounds, np.random.default_rng(inst))
+            assert got == want, (inst, K.n, k, rounds)
+        assert screened >= 250
+
+    def test_grouped_costs_within_a_quarter_of_the_margin(self):
+        for inst in range(300):
+            g, _, K, k = duplicated_sample(inst)
+            if K.distinct is not None:
+                assert_within_quarter_margin(K, *grouped_and_exact(K, g, k))
+
+    def test_rows_that_differ_in_the_last_bits_are_not_grouped(self):
+        # copies of a point whose Gram rows are off by a few ulps are split
+        # from the unchanged copies, and the screened loop still equals the
+        # sequential one
+        checked = 0
+        for inst in range(60):
+            g, X, K0, k = duplicated_sample(inst)
+            groups = np.unique(X, axis=0, return_inverse=True)[1].ravel()
+            off = g.random(K0.n) < 0.1
+            ulps = g.integers(1, 4, size=K0.n) * np.finfo(float).eps
+            entries = K0.entries * (1.0 + np.where(off, ulps, 0.0))[:, None]
+            K = GramMatrix.from_entries(entries, groups=groups)
+            d = K.distinct
+            if d is None:  # more than half the rows stand alone
+                continue
+            assert np.array_equal(K.entries, K.entries[d.rep[d.groups]])
+            assert np.all(off[d.rep[d.groups[off]]])  # never grouped with an unchanged copy
+            assert_within_quarter_margin(K, *grouped_and_exact(K, g, k))
+            seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
+            got = _outcome(local_search_improve, K, seed, 21, np.random.default_rng(inst))
+            assert got == _outcome(sequential_local_search, K, seed, 21, np.random.default_rng(inst))
+            checked += 1
+        assert checked >= 30
+
+    def test_exact_scores_only_what_the_screen_keeps(self, monkeypatch):
+        screened, scored, latest = [], [], []
+        real_screen, real_near = seeding._screen, seeding._nearest_others
+
+        def near_spy(center_dists):
+            latest[:] = [real_near(center_dists)]
+            return latest[0]
+
+        def screen_spy(K, near, cands, bar):
+            for a, full in zip(near, latest[0]):
+                assert np.array_equal(a, full[:, K.distinct.rep])
+            kept = real_screen(K, near, cands, bar)
+            screened.append((K, latest[0], cands.copy(), bar, kept))
+            return kept
+
+        def exact_spy(K, near, cand_cols):
+            scored.append((len(screened) - 1, cand_cols.copy()))
+            return _swap_costs(K, near, cand_cols)
+
+        monkeypatch.setattr(seeding, "_nearest_others", near_spy)
+        monkeypatch.setattr(seeding, "_screen", screen_spy)
+        monkeypatch.setattr(seeding, "_swap_costs", exact_spy)
+        for inst in range(40):
+            _, _, K, k = duplicated_sample(inst)
+            if K.distinct is None:
+                continue
+            seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
+            _outcome(local_search_improve, K, seed, 4 * k + 1, np.random.default_rng(inst))
+        # one exact call per block that kept a candidate, on exactly those candidates
+        assert [i for i, _ in scored] == [i for i, s in enumerate(screened) if s[4].size]
+        for i, cand_cols in scored:
+            K, _, cands, _, kept = screened[i]
+            assert np.array_equal(cand_cols, dists_to_points(K, cands[kept]))
+        # no rejected candidate had an improving swap
+        for K, near, cands, bar, kept in screened:
+            rejected = np.delete(cands, kept)
+            assert np.all(_swap_costs(K, near, dists_to_points(K, rejected)) >= bar)
+        assert len(screened) > 2 * len(scored) > 0
+
+    def test_continuous_data_and_groupless_grams_are_not_screened(self, monkeypatch):
+        def no_screen(*args):
+            raise AssertionError("screened")
+
+        monkeypatch.setattr(seeding, "_screen", no_screen)
+        g = np.random.default_rng(0x5C2F)
+        X = g.normal(size=(40, 2))
+        X[:19] = X[19:38]  # 21 distinct points of 40: more than half
+        _, _, K_dup, _ = duplicated_sample(3)
+        for K in (gram_matrix(KernelSpec("gaussian"), X), GramMatrix.from_entries(K_dup.entries)):
+            assert K.distinct is None
+            seed = kernel_kmeanspp(K, 3, np.random.default_rng(1))
+            got = _outcome(local_search_improve, K, seed, 31, np.random.default_rng(1))
+            assert got == _outcome(sequential_local_search, K, seed, 31, np.random.default_rng(1))
 
 
 class TestApproximateErm:
