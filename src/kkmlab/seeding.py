@@ -81,7 +81,8 @@ def _weighted_swap_costs(gram, near, cand_cols, weights, trace: float, n: int) -
 
 
 def _swap_costs(K: GramMatrix, near, cand_cols: np.ndarray) -> np.ndarray:
-    """Exact ``_weighted_swap_costs`` on the full Gram."""
+    """Exact ``_weighted_swap_costs`` on the full Gram: each entry equals, bit
+    for bit, the cost of its labeling scored on its own."""
     trace = float(np.sum(K.diag))
     return _weighted_swap_costs(K.entries, near, cand_cols, np.ones(K.n), trace, K.n)
 
