@@ -207,35 +207,36 @@ def kernel_lloyd(
     return Assignment.from_labels(labels, k), trace
 
 
-def _iter_exact_partitions(n: int, k: int):
-    """Canonical restricted-growth labelings of n items into exactly k blocks."""
-    labels = np.zeros(n, dtype=np.int8)
-
-    def rec(i: int, used: int):
-        if n - i < k - used:
-            return  # cannot open the remaining blocks
-        if i == n:
-            if used == k:
-                yield labels.copy()
-            return
-        top = min(used + 1, k)
-        for b in range(top):
-            labels[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    yield from rec(1, 1)
+def _grow_partitions(rows: np.ndarray, n: int, k: int):
+    """Yield the exact-k completions of the prefixes ``rows`` in order, 512
+    prefixes at a time (depth-first, so the order stays lexicographic)."""
+    if rows.shape[1] == n:
+        yield rows
+        return
+    for s in range(0, len(rows), 512):  # small slices stay in cache
+        prefix = rows[s : s + 512]
+        used, blocks = prefix.max(axis=1, keepdims=True) + 1, np.arange(k)
+        # a child opens at most one new block and leaves room for the rest
+        fits = (blocks <= used) & (n - prefix.shape[1] > k - np.maximum(used, blocks + 1))
+        r, b = np.nonzero(fits)  # row-major: children follow their parents' order
+        yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k)
 
 
 def iter_label_chunks(n: int, k: int, chunk: int = 4096):
-    """Batch exact-k partitions into (B, n) arrays for vectorized scoring."""
-    buf = []
-    for lab in _iter_exact_partitions(n, k):
-        buf.append(lab)
-        if len(buf) == chunk:
-            yield np.asarray(buf, dtype=np.int64)
-            buf = []
-    if buf:
-        yield np.asarray(buf, dtype=np.int64)
+    """Every partition of n items into exactly k nonempty blocks, as (B, n)
+    int64 labels: restricted-growth strings in lexicographic order, ``chunk``
+    rows a chunk except the last, nothing when k > n.  ``brute_force_erm``
+    keeps the first minimum in this order, so its tie rule depends on it."""
+    if not 1 <= k <= n:
+        return
+    buf = np.empty((0, n), dtype=np.int64)
+    for rows in _grow_partitions(np.zeros((1, 1), dtype=np.int64), n, k):
+        buf = np.concatenate((buf, rows))
+        full = len(buf) - len(buf) % chunk
+        yield from (buf[s : s + chunk] for s in range(0, full, chunk))
+        buf = buf[full:]
+    if len(buf):
+        yield buf
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:

@@ -88,13 +88,17 @@ class ExperimentConfig:
         """Materialize the configured data source as an (n, d) array."""
         d = self.data
         if d.source == "inline":
-            rows = [r.strip() for r in d.inline.replace("\n", ";").split(";") if r.strip()]
-            pts = [[float(v) for v in r.replace(",", " ").split()] for r in rows]
-            if not pts:
-                raise ConfigError("inline data source is empty")
-            for i, row in enumerate(pts, start=1):
+            rows = [r.replace(",", " ").split() for r in d.inline.replace("\n", ";").split(";")]
+            pts = []
+            for i, row in enumerate(filter(None, rows), start=1):
+                try:
+                    pts.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ConfigError(f"inline row {i} is not numeric: {exc}") from None
                 if len(row) != len(pts[0]):
                     raise ConfigError(f"inline row {i} has {len(row)} values, not {len(pts[0])}")
+            if not pts:
+                raise ConfigError("inline data source is empty")
             return np.asarray(pts, dtype=float)
         if d.source == "csv":
             return _read_points_csv(d.path)

@@ -15,6 +15,7 @@ sqrt(k n / 2) while its per-coordinate value stays below 3 sqrt(n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,6 +44,9 @@ __all__ = [
 
 _EXACT_PATTERN_LIMIT = 2**20  # auto-enumerate sign patterns up to this many
 _EXACT_CLASS_LIMIT = 2**16
+_LOW_BITS = 14
+_BLOCK = 2**_LOW_BITS  # sign patterns per enumeration block
+_low_signs = functools.cache(lambda: _sign_block(0, _BLOCK, _LOW_BITS))  # built on first use
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,12 @@ class KhintchineResult(NamedTuple):
 
 def _sign_block(start: int, stop: int, n: int) -> np.ndarray:
     """Rows are the +-1 patterns of the integers [start, stop) over n bits."""
+    if n > _LOW_BITS and start % _BLOCK == 0 and stop - start == _BLOCK:
+        # an aligned full block: the low-bit table beside start's upper bits
+        signs = np.empty((_BLOCK, n))
+        signs[:, :_LOW_BITS] = _low_signs()
+        signs[:, _LOW_BITS:] = 2 * ((start >> np.arange(_LOW_BITS, n)) & 1) - 1
+        return signs
     codes = np.arange(start, stop, dtype=np.int64)[:, None]
     bits = (codes >> np.arange(n)[None, :]) & 1
     return (2 * bits - 1).astype(float)
@@ -147,9 +157,8 @@ def coordinate_rad(data, trials: int = 10_000, rng=None, exact: bool | None = No
             raise EnumerationTooLarge(f"2^{n} sign patterns exceed the exact limit")
         total = 0.0
         count = 2**n
-        step = 2**14
-        for start in range(0, count, step):
-            signs = _sign_block(start, min(start + step, count), n)
+        for start in range(0, count, _BLOCK):
+            signs = _sign_block(start, min(start + _BLOCK, count), n)
             total += float(_batch_suprema(data, signs).sum())
         return RadEstimate(value=total / count, std_error=0.0, trials=count, exact=True)
 
@@ -213,10 +222,9 @@ def finite_class_rad(
             )
         half = 2 ** (n - 1)
         total = 0.0
-        step = 2**14
-        for start in range(0, half, step):
+        for start in range(0, half, _BLOCK):
             # patterns with sigma_n = +1; the complement supplies the rest
-            signs = _sign_block(start, min(start + step, half), n)
+            signs = _sign_block(start, min(start + _BLOCK, half), n)
             U = V @ signs.T
             total += float((U.max(axis=0) + (-U).max(axis=0)).sum())
         return RadEstimate(value=total / 2**n, std_error=0.0, trials=2**n, exact=True)

@@ -18,6 +18,37 @@ def _labels_cost(K, labels, k):
     return max(cost, 0.0)
 
 
+def _iter_exact_partitions(n: int, k: int):
+    """Canonical restricted-growth labelings of n items into exactly k blocks."""
+    labels = np.zeros(n, dtype=np.int8)
+
+    def rec(i: int, used: int):
+        if n - i < k - used:
+            return  # cannot open the remaining blocks
+        if i == n:
+            if used == k:
+                yield labels.copy()
+            return
+        top = min(used + 1, k)
+        for b in range(top):
+            labels[i] = b
+            yield from rec(i + 1, max(used, b + 1))
+
+    yield from rec(1, 1)
+
+
+def reference_label_chunks(n: int, k: int, chunk: int = 4096):
+    """One Python step per partition: the reference for ``iter_label_chunks``."""
+    buf = []
+    for lab in _iter_exact_partitions(n, k):
+        buf.append(lab)
+        if len(buf) == chunk:
+            yield np.asarray(buf, dtype=np.int64)
+            buf = []
+    if buf:
+        yield np.asarray(buf, dtype=np.int64)
+
+
 def grid_supremum(data, sigma, rounds=4, res=81):
     """Refining 2-d grid search for sup_{||c||<=1} sum_j sigma_j ||phi_j-c||^2.
 
