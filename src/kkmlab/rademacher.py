@@ -223,7 +223,7 @@ def finite_class_rad(
         half = 2 ** (n - 1)
         total = 0.0
         for start in range(0, half, _BLOCK):
-            # patterns with sigma_n = +1; the complement supplies the rest
+            # patterns with sigma_n = -1; the complement supplies the rest
             signs = _sign_block(start, min(start + _BLOCK, half), n)
             U = V @ signs.T
             total += float((U.max(axis=0) + (-U).max(axis=0)).sum())

@@ -306,6 +306,15 @@ class TestConfigValidation:
         assert main(["cluster", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "inline row 3")
 
+    def test_non_numeric_inline_point_exits_two(self, config_file, capsys):
+        # used to end in float()'s ValueError traceback with exit 1
+        body = BASE_CONFIG.replace("source = synthetic", "source = inline\ninline = 1 a; 2 3; 4 5")
+        cfg, _ = config_file(body=body)
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "inline row 1 is not numeric" in err and "'a'" in err
+
     def test_overflowing_kernel_exits_two(self, config_file, capsys):
         body = BASE_CONFIG.replace(
             "family = gaussian", "family = polynomial\ndegree = 60\noffset = 1.0"

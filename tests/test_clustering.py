@@ -19,6 +19,7 @@ from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import blob_labels, two_blob_points
 from kkmlab.errors import EmptyCluster, IndexOutOfRange, InstanceTooLarge, KTooLarge, KTooSmall
 from kkmlab.kernels import GramMatrix
+from oracle_utils import reference_label_chunks
 
 
 def embedding_cost_oracle(K, labels, k):
@@ -255,6 +256,24 @@ class TestBruteForceErm:
         assert sum(len(c) for c in iter_label_chunks(6, 3)) == 90
         assert sum(len(c) for c in iter_label_chunks(5, 2)) == 15
         assert sum(len(c) for c in iter_label_chunks(4, 4)) == 1
+        # Stirling numbers of the second kind: S(n,k) = k S(n-1,k) + S(n-1,k-1)
+        S = np.zeros((13, 5), dtype=np.int64)
+        S[0, 0] = 1
+        for n in range(1, 13):
+            for k in range(1, 5):
+                S[n, k] = k * S[n - 1, k] + S[n - 1, k - 1]
+        assert S[12, 4] == 611_501
+        for n in range(1, 13):
+            for k in range(1, 5):
+                assert sum(len(c) for c in iter_label_chunks(n, k)) == S[n, k], (n, k)
+
+    def test_pinned_twelve_point_k4_minimizer(self):
+        # labels and cost recorded from the recursive enumerator; they pin the
+        # lexicographic order and the first-minimum tie rule
+        X = np.random.default_rng(2024).normal(size=(12, 2))
+        a, cost = brute_force_erm(gram_matrix(KernelSpec("gaussian", bandwidth=1.0), X), 4)
+        assert a.labels.tolist() == [0, 1, 2, 0, 0, 1, 3, 3, 2, 2, 1, 3]
+        assert cost.hex() == "0x1.c2eb119ace015p-3"
 
     def test_oracle_dominance_with_restarts(self):
         matches = 0
@@ -272,3 +291,27 @@ class TestBruteForceErm:
             if best <= opt + 1e-6:
                 matches += 1
         assert matches >= 36  # 90% of 40
+
+
+_LABEL_CHUNK_CASES = [(n, k) for n in range(1, 11) for k in range(1, 5)] + [(12, 2), (12, 3)]
+
+
+class TestLabelChunks:
+    @pytest.mark.parametrize("n, k", _LABEL_CHUNK_CASES)
+    def test_chunks_equal_recursive_reference(self, n, k):
+        for chunk in (1, 7, 4096):
+            got = list(iter_label_chunks(n, k, chunk))
+            want = list(reference_label_chunks(n, k, chunk))
+            assert [len(c) for c in got] == [len(c) for c in want], chunk
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
+
+    def test_k_above_n_yields_nothing(self):
+        for n, k in ((1, 2), (3, 4), (2, 3)):
+            assert list(iter_label_chunks(n, k)) == []
+            assert list(reference_label_chunks(n, k)) == []
+
+    def test_single_point(self):
+        (only,) = iter_label_chunks(1, 1)
+        assert only.dtype == np.int64 and only.tolist() == [[0]]

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kkmlab
+import kkmlab.rademacher as rademacher_module
 from kkmlab import (
     coordinate_rad,
     finite_class_rad,
@@ -234,3 +240,48 @@ def test_min_is_one_lipschitz_in_sup_norm():
         u = rng.normal(size=k) * rng.uniform(0.1, 100)
         v = rng.normal(size=k) * rng.uniform(0.1, 100)
         assert abs(np.min(u) - np.min(v)) <= np.max(np.abs(u - v))
+
+
+def _shift_sign_block(start, stop, n):
+    """The +-1 patterns of [start, stop) over n bits, one shift per bit."""
+    codes = np.arange(start, stop, dtype=np.int64)[:, None]
+    bits = (codes >> np.arange(n)[None, :]) & 1
+    return (2 * bits - 1).astype(float)
+
+
+class TestSignBlocks:
+    @pytest.mark.parametrize("n", [1, 13, 14, 15, 20, 24])
+    def test_blocks_equal_the_shift_formula(self, n):
+        B, count = 2**14, 2**n
+        ranges = [(0, min(B, count)), (min(3, count - 1), min(B + 3, count)), (max(count - 5, 0), count)]
+        if n > 14:
+            ranges += [(B, 2 * B), (count - B, count), (37 * B % count, 37 * B % count + B),
+                       (B + 1, 2 * B + 1), (2 * B, 2 * B + 100), (count - B - 100, count)]
+        for start, stop in ranges:
+            got = rademacher_module._sign_block(start, stop, n)
+            want = _shift_sign_block(start, stop, n)
+            assert got.dtype == want.dtype and got.shape == want.shape, (start, stop)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (start, stop)
+
+    @pytest.mark.parametrize(
+        "k, coordinate, finite",
+        [
+            (2, "0x1.fef488782e137p+2", "0x1.3b00000000000p+2"),
+            (4, "0x1.1358398498618p+3", "0x1.e000000000000p+2"),
+            (5, "0x1.16c1964f37101p+3", "0x1.e000000000000p+2"),
+        ],
+    )
+    def test_exact_values_on_twenty_points_are_pinned(self, k, coordinate, finite):
+        # recorded with the per-bit shift enumeration; the block tables must
+        # feed the same sign matrices, so every bit of the sums is kept
+        inst = lower_bound_construction(k, 20)
+        assert coordinate_rad(inst.data).value.hex() == coordinate
+        assert finite_class_rad(inst.data, inst.center_sets(), exact=True).value.hex() == finite
+
+    def test_import_does_not_build_the_sign_table(self):
+        src = str(Path(kkmlab.__file__).resolve().parents[1])
+        code = "import kkmlab.rademacher as r; print(r._low_signs.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
