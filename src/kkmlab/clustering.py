@@ -213,9 +213,10 @@ def _grow_partitions(rows: np.ndarray, n: int, k: int):
     if rows.shape[1] == n:
         yield rows
         return
+    blocks = np.arange(k)
     for s in range(0, len(rows), 512):  # small slices stay in cache
         prefix = rows[s : s + 512]
-        used, blocks = prefix.max(axis=1, keepdims=True) + 1, np.arange(k)
+        used = prefix.max(axis=1, keepdims=True) + 1
         # a child opens at most one new block and leaves room for the rest
         fits = (blocks <= used) & (n - prefix.shape[1] > k - np.maximum(used, blocks + 1))
         r, b = np.nonzero(fits)  # row-major: children follow their parents' order
