@@ -13,3 +13,18 @@ def ensure_rng(rng) -> np.random.Generator:
 def fmt12(x) -> str:
     """Serialize a float with 12 significant digits, trailing zeros trimmed."""
     return format(float(x), ".12g")
+
+
+def write_float_csv(path, header: str, *columns, index: bool = False) -> None:
+    """Write ``header`` and one line per row of the float ``columns`` (1-d
+    arrays or 2-d blocks of columns side by side), each value as ``fmt12``
+    writes it, led by the row number when ``index`` is set."""
+    rows = np.column_stack(columns).astype(float, copy=False)
+    template = ("%d," if index else "") + ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for s in range(0, len(rows), 256):  # blocks: no Python list of the whole table
+            block = rows[s : s + 256].tolist()
+            if index:
+                block = [[s + i, *row] for i, row in enumerate(block)]
+            fh.write("".join(template % tuple(row) for row in block))

@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from ._common import fmt12
-from .clustering import assignment_to_csv, kernel_lloyd, trace_to_csv
+from ._common import fmt12, write_float_csv
+from .clustering import kernel_lloyd
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, KKMLabError
 from .kernels import effective_dimension, gram_matrix, spectrum_of
@@ -103,8 +103,9 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
     else:
         raise ConfigError(f"unknown cluster method {method!r}")
 
-    assignment_to_csv(assignment, out / "assignment.csv")
-    trace_to_csv(trace, out / "trace.csv")
+    # labels are small integers, which "%.12g" writes as "%d" does
+    write_float_csv(out / "assignment.csv", "point_index,cluster_id", assignment.labels, index=True)
+    write_float_csv(out / "trace.csv", "iteration,cost", trace.per_iteration_cost, index=True)
     lines = [
         f"method: {method}",
         f"n: {K.n}",
@@ -126,10 +127,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     xi = effective_dimension(sp)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "spectrum.csv", "w", encoding="utf-8") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(sp.eigenvalues):
-            fh.write(f"{i},{fmt12(v)}\n")
+    write_float_csv(out / "spectrum.csv", "index,eigenvalue", sp.eigenvalues, index=True)
     k = cfg.cluster.k
     print(f"n={K.n} k={k} effective_dimension={fmt12(xi)}")
     print("eigenvalues: " + ",".join(fmt12(v) for v in sp.eigenvalues))
@@ -155,10 +153,8 @@ def cmd_nystrom_embed(cfg: ExperimentConfig) -> int:
     emb = nystrom_embed(K, L, jitter=cfg.nystrom.jitter)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "embedded.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"z{j}" for j in range(L.m)) + ",residual\n")
-        for row, res in zip(emb.coords, emb.residuals):
-            fh.write(",".join(fmt12(v) for v in row) + f",{fmt12(res)}\n")
+    header = ",".join(f"z{j}" for j in range(L.m)) + ",residual"
+    write_float_csv(out / "embedded.csv", header, emb.coords, emb.residuals)
     print(f"nystrom-embed: n={K.n} m={m} rank={emb.rank} "
           f"mean_residual={fmt12(float(np.mean(emb.residuals)))}")
     return 0
@@ -167,9 +163,9 @@ def cmd_nystrom_embed(cfg: ExperimentConfig) -> int:
 def cmd_rad_check(cfg: ExperimentConfig) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    lines = ["k,n,estimator,value,std_error,trials,bound,verdict"]  # stdout and rad_check.csv
     violated = False
-    print("k,n,estimator,value,std_error,trials,bound,verdict")
+    print(lines[0])
     for k, n in cfg.lab.grid:
         if n % k != 0:
             print(f"# cell (k={k}, n={n}) skipped: n is not divisible by k")
@@ -206,16 +202,11 @@ def cmd_rad_check(cfg: ExperimentConfig) -> int:
         for name, value, se, trials, bound, ok in checks:
             verdict = "satisfied" if ok else "violated"
             violated = violated or not ok
-            row = (k, n, name, value, se, trials, bound, verdict)
-            rows.append(row)
-            print(f"{k},{n},{name},{fmt12(value)},{fmt12(se)},{trials},"
-                  f"{fmt12(bound)},{verdict}")
+            lines.append(f"{k},{n},{name},{fmt12(value)},{fmt12(se)},{trials},"
+                         f"{fmt12(bound)},{verdict}")
+            print(lines[-1])
 
-    with open(out / "rad_check.csv", "w", encoding="utf-8") as fh:
-        fh.write("k,n,estimator,value,std_error,trials,bound,verdict\n")
-        for k, n, name, value, se, trials, bound, verdict in rows:
-            fh.write(f"{k},{n},{name},{fmt12(value)},{fmt12(se)},{trials},"
-                     f"{fmt12(bound)},{verdict}\n")
+    (out / "rad_check.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 1 if violated else 0
 
 
@@ -243,7 +234,7 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
             for method in methods:
                 cell = run_cell(
                     P, n, k, method, policy, reps=sweep.reps,
-                    master_seed=cfg.master_seed, workers=cfg.workers,
+                    master_seed=cfg.master_seed,
                 )
                 report.cells.append(cell)
 
@@ -313,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file (INI)")
         p.add_argument("--output-dir", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--workers", type=int, default=None, help="parallel reps")
 
     p = sub.add_parser("cluster", help="cluster a dataset and write assignment/trace CSVs")
     add_common(p)
@@ -350,7 +340,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key, None)
-        for key in ("method", "m", "k", "trials", "methods", "reps", "output_dir", "seed", "workers")
+        for key in ("method", "m", "k", "trials", "methods", "reps", "output_dir", "seed")
         if getattr(args, key, None) is not None
     }
     try:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import ensure_rng, fmt12
+from ._common import ensure_rng
 from .errors import (
     EmptyCluster,
     IndexOutOfRange,
@@ -30,7 +30,6 @@ __all__ = [
     "kernel_lloyd",
     "brute_force_erm",
     "random_assignment",
-    "assignment_to_csv",
     "iter_label_chunks",
 ]
 
@@ -244,7 +243,8 @@ def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: in
     G = (chunk_labels[:, :, None] == np.arange(k)[None, None, :]).astype(float)
     KG = np.matmul(K, G)
     T = np.einsum("bik,bik->bk", G, KG)
-    sizes = G.sum(axis=1)
+    # label counts, not sums over the float one-hot: the same small integers, faster
+    sizes = np.stack([np.count_nonzero(chunk_labels == j, axis=1) for j in range(k)], axis=1)
     return (diag_sum - np.sum(T / sizes, axis=1)) / K.shape[0]
 
 
@@ -290,17 +290,3 @@ def random_assignment(n: int, k: int, rng=None) -> Assignment:
     anchors = rng.permutation(n)[:k]
     labels[anchors] = np.arange(k)
     return Assignment.from_labels(labels, k)
-
-
-def assignment_to_csv(a: Assignment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("point_index,cluster_id\n")
-        for i, lab in enumerate(a.labels):
-            fh.write(f"{i},{int(lab)}\n")
-
-
-def trace_to_csv(trace: ClusterCostTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,cost\n")
-        for i, c in enumerate(trace.per_iteration_cost):
-            fh.write(f"{i},{fmt12(c)}\n")

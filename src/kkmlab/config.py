@@ -82,7 +82,6 @@ class ExperimentConfig:
     sweep: SweepConfig
     master_seed: int
     output_dir: Path
-    workers: int = 1
 
     def load_points(self) -> np.ndarray:
         """Materialize the configured data source as an (n, d) array."""
@@ -242,10 +241,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     out = overrides.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or _get(
         cp, "run", "output_dir", str, "out"
     )
-    workers = overrides.get("workers")
-    workers = int(workers) if workers is not None else _get(cp, "run", "workers", int, 1)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    # runs are single-threaded; the key stays accepted for existing configs
+    workers = _get(cp, "run", "workers", int, 1)
+    if workers != 1:
+        raise ConfigError(f"[run] workers must be 1, got {workers}")
 
     for key in ("method", "m", "k", "trials", "reps"):
         if overrides.get(key) is not None:
@@ -272,7 +271,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         sweep=sweep,
         master_seed=master_seed,
         output_dir=Path(out),
-        workers=workers,
     )
 
     # parse-time invariants

@@ -42,6 +42,10 @@ _FAMILIES = ("gaussian", "linear", "polynomial")
 # eigendecomposition is skipped; it absorbs rounding in the O(n^2) sums.
 _XI_BOUND_MARGIN = 1e-9
 
+# Gram rows the Gaussian passes work on at once: 64 rows of a few thousand
+# points stay in cache from one pass to the next.
+_GRAM_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -103,7 +107,7 @@ class GramMatrix:
     """Symmetric PSD kernel matrix with a cached diagonal, and the distinct
     input point of each row (``groups``) when known.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction.
     """
 
     entries: np.ndarray
@@ -117,7 +121,11 @@ class GramMatrix:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("Gram matrix must be square")
         # exact symmetry so the stored matrix equals its transpose bitwise
-        entries = 0.5 * (entries + entries.T)
+        return cls._frozen(0.5 * (entries + entries.T), groups)
+
+    @classmethod
+    def _frozen(cls, entries: np.ndarray, groups=None) -> "GramMatrix":
+        """Wrap an exactly symmetric float matrix, which becomes read-only."""
         entries.setflags(write=False)
         diag = np.ascontiguousarray(np.diagonal(entries))
         diag.setflags(write=False)
@@ -177,6 +185,12 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
     With ``spec.normalize`` set, any point whose feature norm exceeds 1 is
     rejected with :class:`NormalizationViolated`; non-finite points, and
     kernel values that overflow, with :class:`NonFiniteInput`.
+
+    The kernel is written in place over X X^T, so the build peaks at one
+    n x n buffer plus a block of rows.  numpy computes X X^T with a symmetric
+    rank-k update and mirrors one triangle into the other, and the kernel is
+    elementwise in terms symmetric in (i, j), so K equals K^T bit for bit
+    without a symmetrizing copy.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -186,17 +200,21 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("input points contain non-finite values")
 
-    inner = X @ X.T
-    sq = np.diagonal(inner)
+    K = X @ X.T
     if spec.family == "gaussian":
-        d2 = sq[:, None] + sq[None, :] - 2.0 * inner
-        np.clip(d2, 0.0, None, out=d2)
-        K = np.exp(-d2 / (2.0 * spec.bandwidth**2))
-    elif spec.family == "linear":
-        K = inner
-    else:
+        sq = np.diagonal(K).copy()
+        for s in range(0, len(K), _GRAM_BLOCK_ROWS):
+            rows = slice(s, s + _GRAM_BLOCK_ROWS)
+            blk = K[rows]  # a view: exp(-(sq_i + sq_j - 2 x_i.x_j) / 2h^2) overwrites it
+            blk *= 2.0
+            np.subtract(sq[rows, None] + sq[None, :], blk, out=blk)
+            np.clip(blk, 0.0, None, out=blk)
+            np.divide(blk, -2.0 * spec.bandwidth**2, out=blk)  # (-a) / c == a / (-c) exactly
+            np.exp(blk, out=blk)
+    elif spec.family == "polynomial":
         with np.errstate(over="ignore", invalid="ignore"):
-            K = (inner + spec.offset) ** spec.degree
+            K += spec.offset
+            K **= spec.degree
     if not (np.isfinite(K.min()) and np.isfinite(K.max())):  # no n x n temporary
         raise NonFiniteInput(f"the {spec.family} kernel overflows on these points")
 
@@ -205,7 +223,7 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
             raise NormalizationViolated(
                 "normalization flag set but some kappa(x, x) > 1"
             )
-    return GramMatrix.from_entries(K, np.unique(X, axis=0, return_inverse=True)[1])
+    return GramMatrix._frozen(K, np.unique(X, axis=0, return_inverse=True)[1])
 
 
 def kernel_dist_sq(K: GramMatrix, i: int, j: int) -> float:

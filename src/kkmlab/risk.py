@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -370,14 +369,13 @@ def run_cell(
     m_policy: MPolicy | None = None,
     reps: int = 50,
     master_seed: int = 0,
-    workers: int = 1,
 ) -> CellRecord:
     """Monte Carlo estimate of one (n, k, method) cell.
 
     Each rep draws n atoms i.i.d. by weight, fits with the method, and
     evaluates the fitted centers' population risk exactly.  The per-rep RNG
     is derived from (master_seed, cell tag, rep index), so records are
-    bit-identical across reruns and independent of ``workers``.
+    bit-identical across reruns.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -385,21 +383,14 @@ def run_cell(
     opt = optimal_risk(P, k)
     tag = _cell_tag(n, k, method, policy)
 
-    def one_rep(rep: int):
+    results = []
+    for rep in range(reps):
         rng = np.random.default_rng([master_seed, tag, rep])
         sample_atoms = rng.choice(P.n_atoms, size=n, p=P.weights)
         K = gram_matrix(P.kernel, P.atoms[sample_atoms])
         emp, gamma_sample, m_used = _fit_once(K, k, method, policy, rng)
         gamma = _sample_centers_to_atoms(gamma_sample, sample_atoms, P.n_atoms)
-        pop = population_risk(P, gamma)
-        return emp, pop, m_used
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, range(reps)))
-    else:
-        results = [one_rep(r) for r in range(reps)]
-
+        results.append((emp, population_risk(P, gamma), m_used))
     emps = np.array([r[0] for r in results])
     pops = np.array([r[1] for r in results])
     ms = np.array([r[2] for r in results])

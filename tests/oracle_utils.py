@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from kkmlab.errors import InvariantViolated
-from kkmlab.kernels import dists_to_points
+from kkmlab.errors import InvariantViolated, NonFiniteInput, NormalizationViolated
+from kkmlab.kernels import GramMatrix, dists_to_points
 from kkmlab.seeding import _result_for_centers
 
 
@@ -16,6 +16,47 @@ def _labels_cost(K, labels, k):
     T = np.einsum("ij,ij->j", G, K.entries @ G)
     cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
     return max(cost, 0.0)
+
+
+def reference_gram(spec, X):
+    """Whole-matrix Gram build with a symmetrizing copy: the reference for
+    the one-buffer ``gram_matrix``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("X must be a nonempty (n, d) array")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput("input points contain non-finite values")
+
+    inner = X @ X.T
+    sq = np.diagonal(inner)
+    if spec.family == "gaussian":
+        d2 = sq[:, None] + sq[None, :] - 2.0 * inner
+        np.clip(d2, 0.0, None, out=d2)
+        K = np.exp(-d2 / (2.0 * spec.bandwidth**2))
+    elif spec.family == "linear":
+        K = inner
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = (inner + spec.offset) ** spec.degree
+    if not (np.isfinite(K.min()) and np.isfinite(K.max())):
+        raise NonFiniteInput(f"the {spec.family} kernel overflows on these points")
+
+    if spec.normalize and spec.family != "gaussian":
+        if np.any(np.diagonal(K) > 1.0 + 1e-12):
+            raise NormalizationViolated("normalization flag set but some kappa(x, x) > 1")
+    return GramMatrix.from_entries(K, np.unique(X, axis=0, return_inverse=True)[1])
+
+
+def reference_chunk_costs(K, diag_sum, chunk_labels, k):
+    """Chunk costs with block sizes summed from the float one-hot: the
+    reference for ``clustering._chunk_costs``."""
+    G = (chunk_labels[:, :, None] == np.arange(k)[None, None, :]).astype(float)
+    KG = np.matmul(K, G)
+    T = np.einsum("bik,bik->bk", G, KG)
+    sizes = G.sum(axis=1)
+    return (diag_sum - np.sum(T / sizes, axis=1)) / K.shape[0]
 
 
 def _iter_exact_partitions(n: int, k: int):

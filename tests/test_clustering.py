@@ -19,7 +19,7 @@ from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import blob_labels, two_blob_points
 from kkmlab.errors import EmptyCluster, IndexOutOfRange, InstanceTooLarge, KTooLarge, KTooSmall
 from kkmlab.kernels import GramMatrix
-from oracle_utils import reference_label_chunks
+from oracle_utils import reference_chunk_costs, reference_label_chunks
 
 
 def embedding_cost_oracle(K, labels, k):
@@ -274,6 +274,17 @@ class TestBruteForceErm:
         a, cost = brute_force_erm(gram_matrix(KernelSpec("gaussian", bandwidth=1.0), X), 4)
         assert a.labels.tolist() == [0, 1, 2, 0, 0, 1, 3, 3, 2, 2, 1, 3]
         assert cost.hex() == "0x1.c2eb119ace015p-3"
+
+    @pytest.mark.parametrize("n, k", [(12, 4), (10, 3)])
+    def test_chunk_costs_equal_reference(self, n, k):
+        X = np.random.default_rng(2024).normal(size=(n, 2))
+        X[1] = X[0]  # a repeated point
+        K = gram_matrix(KernelSpec("gaussian", bandwidth=1.0), X)
+        diag_sum = float(np.sum(K.diag))
+        for chunk in iter_label_chunks(n, k):
+            got = clustering_module._chunk_costs(K.entries, diag_sum, chunk, k)
+            want = reference_chunk_costs(K.entries, diag_sum, chunk, k)
+            assert got.tobytes() == want.tobytes()
 
     def test_oracle_dominance_with_restarts(self):
         matches = 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from kkmlab.errors import (
     NonFiniteInput,
     NormalizationViolated,
 )
+from oracle_utils import reference_gram
 
 
 def scalar_gram_oracle(spec, X):
@@ -101,6 +103,71 @@ class TestGramMatrix:
         K = gram_matrix(KernelSpec("linear"), np.eye(3))
         with pytest.raises(ValueError):
             K.entries[0, 0] = 5.0
+
+
+def _random_gram_cases(seed=11):
+    """Seeded (spec, X) pairs: n = 1, n on both sides of multiples of the
+    64-row block, 1-d X, repeated and strided points, all three families and
+    polynomial degrees 1-5 with and without an offset."""
+    rng = np.random.default_rng(seed)
+    specs = [KernelSpec("gaussian", bandwidth=bw) for bw in (0.3, 1.0, 2.5)]
+    specs += [KernelSpec("linear")]
+    specs += [KernelSpec("polynomial", degree=p, offset=c) for p in range(1, 6) for c in (0.0, 0.7)]
+    for n in (1, 2, 63, 64, 65, 129, 200):
+        for spec in specs:
+            d = int(rng.integers(1, 6))
+            X = rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0)
+            yield spec, X
+            yield spec, X[rng.integers(0, max(1, n // 4), size=n)]  # repeated points
+        yield specs[0], rng.normal(size=n)  # 1-d: n scalar points
+        yield specs[-1], rng.normal(size=(n, 6))[:, ::2]  # strided columns
+
+
+class TestGramOneBuffer:
+    """The one-buffer build against the whole-matrix build it replaced."""
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_bit_identical_to_reference(self, case):
+        for spec, X in _random_gram_cases(seed=11 + case):
+            got, want = gram_matrix(spec, X), reference_gram(spec, X)
+            assert got.entries.tobytes() == want.entries.tobytes(), (spec, X.shape)
+            assert got.diag.tobytes() == want.diag.tobytes()
+            assert np.array_equal(got.groups, want.groups)
+            assert got.entries.tobytes() == np.ascontiguousarray(got.entries.T).tobytes()
+            assert not got.entries.flags.writeable and not got.diag.flags.writeable
+
+    def test_overflow_past_the_first_block_rejected(self):
+        # only the last six of 130 points are large, so (x.y + 1)^60 overflows
+        # in the last two 64-row blocks alone
+        X = np.random.default_rng(4).choice([-1.0, 1.0], size=(130, 2))
+        X[-6:] *= 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="overflows"):
+                gram_matrix(KernelSpec("polynomial", degree=60, offset=1.0), X)
+
+    def test_normalization_checked_past_the_first_block(self):
+        X = np.full((130, 2), 0.5)
+        X[-1] = [1.0, 0.5]
+        with pytest.raises(NormalizationViolated):
+            gram_matrix(KernelSpec("polynomial", degree=2, offset=0.0, normalize=True), X)
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("gaussian", bandwidth=1.3),
+        KernelSpec("linear"),
+        KernelSpec("polynomial", degree=3, offset=1.0),
+    ], ids=lambda s: s.family)
+    def test_peak_memory_is_one_buffer(self, spec):
+        n = 1024
+        X = np.random.default_rng(5).normal(size=(n, 3)) / 2.0
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gram_matrix(spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8, peak / (n * n * 8)
 
 
 @settings(max_examples=60, deadline=None)

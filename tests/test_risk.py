@@ -204,12 +204,6 @@ class TestRunCell:
         b = run_cell(P, 32, 2, "nystrom", MPolicy("fixed", m=8), reps=5, master_seed=9)
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        P = standard_benchmark(2)
-        a = run_cell(P, 32, 2, "approx_erm", reps=6, master_seed=3, workers=1)
-        b = run_cell(P, 32, 2, "approx_erm", reps=6, master_seed=3, workers=3)
-        assert a == b
-
     def test_excess_risk_never_below_exact_optimum(self):
         P = standard_benchmark(2)
         for method in ("exact_erm_approx", "nystrom", "approx_erm"):
