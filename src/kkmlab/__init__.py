@@ -15,7 +15,6 @@ from .clustering import (
     Assignment,
     ClusterCostTrace,
     cluster_cost,
-    point_center_dist_sq,
     kernel_lloyd,
     brute_force_erm,
     random_assignment,

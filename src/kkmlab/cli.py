@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .rademacher import (
     lower_bound_construction,
 )
 from .risk import MPolicy, RiskReport, run_cell, scaling_fit, standard_benchmark
-from .seeding import kernel_kmeanspp, local_search_improve
+from .seeding import approximate_erm, kernel_kmeanspp
 
 _METHOD_ALIASES = {
     "exact": "exact_erm_approx",
@@ -71,17 +72,13 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
             if best is None or trace.per_iteration_cost[-1] < best[1].per_iteration_cost[-1]:
                 best = (a, trace)
         assignment, trace = best
-        final_cost = float(trace.per_iteration_cost[-1])
     elif method == "approx":
         rng = np.random.default_rng([cfg.master_seed, 0xC2])
-        rounds = cfg.cluster.rounds if cfg.cluster.rounds is not None else 25 * k
-        seed = kernel_kmeanspp(K, k, rng)
-        improved = local_search_improve(K, seed, rounds, rng)
-        assignment, trace = kernel_lloyd(
-            K, improved.induced, max_iter=cfg.cluster.max_iter, rel_tol=cfg.cluster.rel_tol
+        assignment, trace, swaps = approximate_erm(
+            K, k, cfg.cluster.rounds, rng=rng,
+            max_iter=cfg.cluster.max_iter, rel_tol=cfg.cluster.rel_tol,
         )
-        final_cost = float(trace.per_iteration_cost[-1])
-        extra_lines.append(f"swaps_accepted: {improved.swaps_accepted}")
+        extra_lines.append(f"swaps_accepted: {swaps}")
     elif method == "nystrom":
         ny = cfg.nystrom
         m = _landmark_policy("nystrom", ny.mode, ny.m, ny).landmarks_for(K, K.n, k)
@@ -94,14 +91,12 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
         )
         resid = float(np.mean(emb.residuals))
         # report the in-space cost: projected trace plus the residual offset
-        from dataclasses import replace
-
         trace = replace(ztrace, per_iteration_cost=ztrace.per_iteration_cost + resid)
-        final_cost = float(trace.per_iteration_cost[-1])
         extra_lines.append(f"m: {m}")
         extra_lines.append(f"cost_projected: {fmt12(ztrace.per_iteration_cost[-1])}")
     else:
         raise ConfigError(f"unknown cluster method {method!r}")
+    final_cost = float(trace.per_iteration_cost[-1])
 
     # labels are small integers, which "%.12g" writes as "%d" does
     write_float_csv(out / "assignment.csv", "point_index,cluster_id", assignment.labels, index=True)

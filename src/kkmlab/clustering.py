@@ -14,7 +14,6 @@ import numpy as np
 from ._common import ensure_rng
 from .errors import (
     EmptyCluster,
-    IndexOutOfRange,
     InstanceTooLarge,
     InvariantViolated,
     KTooLarge,
@@ -26,7 +25,6 @@ __all__ = [
     "Assignment",
     "ClusterCostTrace",
     "cluster_cost",
-    "point_center_dist_sq",
     "kernel_lloyd",
     "brute_force_erm",
     "random_assignment",
@@ -72,13 +70,18 @@ class ClusterCostTrace:
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
-    return (labels[:, None] == np.arange(k)[None, :]).astype(float)
+    """(..., k) float indicators of the labels: (n, k) for one labeling,
+    (B, n, k) for a (B, n) stack."""
+    return (labels[..., None] == np.arange(k)).astype(float)
 
 
-def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int):
-    """Per-cluster kernel sums: KG[i, j] = sum_{t in C_j} K_it and
-    T[j] = sum_{t, t' in C_j} K_tt'."""
+def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int, weights=None):
+    """Per-cluster kernel sums: KG[i, j] = sum_{t in C_j} w_t K_it,
+    T[j] = sum_{t, t' in C_j} w_t w_t' K_tt' and sizes[j] = sum_{t in C_j} w_t,
+    with every weight w_t = 1 unless ``weights`` are given."""
     G = _onehot(labels, k)
+    if weights is not None:
+        G *= weights[:, None]
     KG = K.entries @ G
     T = np.einsum("ij,ij->j", G, KG)
     sizes = G.sum(axis=0)
@@ -112,22 +115,6 @@ def _point_center_dists(
     return np.clip(D, 0.0, None)
 
 
-def point_center_dist_sq(K: GramMatrix, a: Assignment, i: int, j: int) -> float:
-    """Squared distance from point i to the mean of cluster j, clamped at 0."""
-    if not 0 <= i < K.n:
-        raise IndexOutOfRange(f"point index {i} outside [0, {K.n})")
-    if not 0 <= j < a.k:
-        raise IndexOutOfRange(f"cluster id {j} outside [0, {a.k})")
-    size = int(a.cluster_sizes[j])
-    if size == 0:
-        raise EmptyCluster(f"cluster {j} is empty")
-    members = a.labels == j
-    cross = float(K.entries[i, members].sum())
-    within = float(K.entries[np.ix_(members, members)].sum())
-    val = K.diag[i] - 2.0 * cross / size + within / size**2
-    return max(float(val), 0.0)
-
-
 def _repair_empty(labels: np.ndarray, k: int, dist_to_own: np.ndarray) -> np.ndarray:
     """Move the worst-served point into each empty cluster, one at a time.
 
@@ -147,53 +134,39 @@ def _repair_empty(labels: np.ndarray, k: int, dist_to_own: np.ndarray) -> np.nda
     return labels
 
 
-def kernel_lloyd(
-    K: GramMatrix,
-    init: Assignment,
-    max_iter: int = 300,
-    rel_tol: float = 1e-9,
-):
-    """Lloyd iteration in feature space.
+def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float):
+    """Lloyd iteration in the geometry that ``fit`` describes: ``fit(labels)``
+    returns the labeling's cost and a callable giving the (n, k) squared
+    distances from every point to its cluster means.
 
-    Each step reassigns every point to its nearest implicit centroid (ties
-    broken toward the lowest cluster index) and recomputes the means.  A
-    cluster that empties is repaired by donating the point currently farthest
-    from its own center, which keeps k fixed and never increases the cost.
-    Stops when labels are unchanged, the relative cost drop falls below
-    ``rel_tol``, or ``max_iter`` is reached.
+    Each step reassigns every point to its nearest center (ties broken toward
+    the lowest cluster index).  A cluster that empties is repaired by donating
+    the point currently farthest from its own center, which keeps k fixed and
+    never increases the cost.  Stops when labels are unchanged, the relative
+    cost drop falls below ``rel_tol``, or ``max_iter`` is reached.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if rel_tol < 0:
+    if not rel_tol >= 0:
         raise ValueError("rel_tol must be >= 0")
-    if init.n != K.n:
-        raise ValueError("init and Gram matrix disagree on n")
     if np.any(init.cluster_sizes == 0):
         raise EmptyCluster("initial assignment has an empty cluster")
 
-    labels = np.asarray(init.labels, dtype=np.int64).copy()
-    k = init.k
-    # one Gram product per step: the linkage of a labeling gives its cost
-    # and the next step's point-to-center distances
-    KG, T, sizes = _cluster_linkage(K, labels, k)
-    costs = [_linkage_cost(K, T, sizes)]
+    labels, k = init.labels, init.k
+    cost, dists = fit(labels)
+    costs = [cost]
     converged = False
-    iterations = 0
-
-    for _ in range(max_iter):
-        D = _point_center_dists(K, KG, T, sizes)
-        new_labels = np.argmin(D, axis=1).astype(np.int64)
+    for iterations in range(1, max_iter + 1):
+        D = dists()
+        new_labels = np.argmin(D, axis=1)
         if np.any(np.bincount(new_labels, minlength=k) == 0):
-            own = D[np.arange(K.n), new_labels]
-            new_labels = _repair_empty(new_labels, k, own)
-        iterations += 1
-        KG, T, sizes = _cluster_linkage(K, new_labels, k)
-        new_cost = _linkage_cost(K, T, sizes)
-        costs.append(new_cost)
+            new_labels = _repair_empty(new_labels, k, D[np.arange(len(D)), new_labels])
+        cost, dists = fit(new_labels)
+        costs.append(cost)
         unchanged = bool(np.array_equal(new_labels, labels))
         labels = new_labels
         prev = costs[-2]
-        drop = (prev - new_cost) / prev if prev > 0 else 0.0
+        drop = (prev - cost) / prev if prev > 0 else 0.0
         if unchanged or drop < rel_tol:
             converged = True
             break
@@ -204,6 +177,26 @@ def kernel_lloyd(
         iterations=iterations,
     )
     return Assignment.from_labels(labels, k), trace
+
+
+def kernel_lloyd(
+    K: GramMatrix,
+    init: Assignment,
+    max_iter: int = 300,
+    rel_tol: float = 1e-9,
+):
+    """Lloyd iteration in feature space with centers at the implicit cluster
+    means; steps, empty-cluster repair and stopping rules are ``_lloyd``'s."""
+    if init.n != K.n:
+        raise ValueError("init and Gram matrix disagree on n")
+
+    def fit(labels):
+        # one Gram product per step: the linkage of a labeling gives its cost
+        # and the next step's point-to-center distances
+        KG, T, sizes = _cluster_linkage(K, labels, init.k)
+        return _linkage_cost(K, T, sizes), lambda: _point_center_dists(K, KG, T, sizes)
+
+    return _lloyd(init, fit, max_iter, rel_tol)
 
 
 def _grow_partitions(rows: np.ndarray, n: int, k: int):
@@ -240,7 +233,7 @@ def iter_label_chunks(n: int, k: int, chunk: int = 4096):
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:
-    G = (chunk_labels[:, :, None] == np.arange(k)[None, None, :]).astype(float)
+    G = _onehot(chunk_labels, k)
     KG = np.matmul(K, G)
     T = np.einsum("bik,bik->bk", G, KG)
     # label counts, not sums over the float one-hot: the same small integers, faster

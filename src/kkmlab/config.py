@@ -282,6 +282,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"[cluster] restarts must be >= 1, got {cfg.cluster.restarts}")
     if cfg.cluster.rounds is not None and cfg.cluster.rounds < 0:
         raise ConfigError(f"[cluster] rounds must be >= 0, got {cfg.cluster.rounds}")
+    if cfg.cluster.max_iter < 1:
+        raise ConfigError(f"[cluster] max_iter must be >= 1, got {cfg.cluster.max_iter}")
+    if not cfg.cluster.rel_tol >= 0:  # NaN too
+        raise ConfigError(f"[cluster] rel_tol must be >= 0, got {cfg.cluster.rel_tol}")
     if not cfg.nystrom.c_scale > 0:
         raise ConfigError(f"[nystrom] c_scale must be positive, got {cfg.nystrom.c_scale}")
     if not cfg.lab.grid:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import ensure_rng
-from .clustering import Assignment, ClusterCostTrace, _repair_empty, random_assignment
+from .clustering import Assignment, _lloyd, _onehot
 from .errors import (
     EmptyCluster,
     InvalidDelta,
@@ -173,7 +173,7 @@ def _zspace_cost(Z: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 
 def _zspace_dists(Z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    G = (labels[:, None] == np.arange(k)[None, :]).astype(float)
+    G = _onehot(labels, k)
     sizes = G.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         centers = (G.T @ Z) / sizes[:, None]
@@ -190,40 +190,14 @@ def euclidean_lloyd(
     max_iter: int = 300,
     rel_tol: float = 1e-9,
 ):
-    """Plain Lloyd iteration on embedded coordinates; mirrors the kernel-space
-    loop (same tie-breaking, empty-cluster repair, and stopping rules)."""
-    if np.any(init.cluster_sizes == 0):
-        raise EmptyCluster("initial assignment has an empty cluster")
-    labels = np.asarray(init.labels, dtype=np.int64).copy()
-    k = init.k
-    n = Z.shape[0]
-    costs = [_zspace_cost(Z, labels, k)]
-    converged = False
-    iterations = 0
+    """Plain Lloyd iteration on embedded coordinates: the kernel-space loop
+    (``kernel_lloyd``) with centers restricted to the coordinates' means."""
 
-    for _ in range(max_iter):
-        D = _zspace_dists(Z, labels, k)
-        new_labels = np.argmin(D, axis=1).astype(np.int64)
-        if np.any(np.bincount(new_labels, minlength=k) == 0):
-            own = D[np.arange(n), new_labels]
-            new_labels = _repair_empty(new_labels, k, own)
-        iterations += 1
-        new_cost = _zspace_cost(Z, new_labels, k)
-        costs.append(new_cost)
-        unchanged = bool(np.array_equal(new_labels, labels))
-        labels = new_labels
-        prev = costs[-2]
-        drop = (prev - new_cost) / prev if prev > 0 else 0.0
-        if unchanged or drop < rel_tol:
-            converged = True
-            break
+    def fit(labels):
+        # cost from the coordinates' own means: summed from the distances it rounds differently
+        return _zspace_cost(Z, labels, init.k), lambda: _zspace_dists(Z, labels, init.k)
 
-    trace = ClusterCostTrace(
-        per_iteration_cost=np.asarray(costs),
-        converged=converged,
-        iterations=iterations,
-    )
-    return Assignment.from_labels(labels, k), trace
+    return _lloyd(init, fit, max_iter, rel_tol)
 
 
 def euclidean_kmeanspp_labels(Z: np.ndarray, k: int, rng) -> Assignment:
@@ -243,7 +217,6 @@ def nystrom_kkmeans(
     K: GramMatrix,
     L: LandmarkSet,
     k: int,
-    init: str = "kmeanspp",
     rng=None,
     max_iter: int = 300,
     rel_tol: float = 1e-9,
@@ -258,17 +231,10 @@ def nystrom_kkmeans(
     comparisons should use the in-space cost; the projected cost ignores the
     part of the data outside the landmark span.
     """
-    rng = ensure_rng(rng)
     emb = nystrom_embed(K, L, jitter=jitter)
-    if init_labels is not None:
-        start = init_labels
-    elif init == "kmeanspp":
-        start = euclidean_kmeanspp_labels(emb.coords, k, rng)
-    elif init == "random":
-        start = random_assignment(K.n, k, rng)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-    assignment, trace = euclidean_lloyd(emb.coords, start, max_iter=max_iter, rel_tol=rel_tol)
+    if init_labels is None:
+        init_labels = euclidean_kmeanspp_labels(emb.coords, k, rng)
+    assignment, trace = euclidean_lloyd(emb.coords, init_labels, max_iter, rel_tol)
     cost_projected = float(trace.per_iteration_cost[-1])
     cost_in_h = cost_projected + float(np.mean(emb.residuals))
     return assignment, cost_in_h, cost_projected
@@ -278,7 +244,7 @@ def landmark_coefficients(emb: EmbeddedDataset, a: Assignment) -> np.ndarray:
     """Cluster-mean centers expressed as coefficient vectors over the
     landmark points (k x m); row j reconstructs center j as a combination of
     landmark features."""
-    G = (a.labels[:, None] == np.arange(a.k)[None, :]).astype(float)
+    G = _onehot(a.labels, a.k)
     sizes = G.sum(axis=0)
     if np.any(sizes == 0):
         raise EmptyCluster("cannot form a center for an empty cluster")

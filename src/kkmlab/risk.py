@@ -17,7 +17,13 @@ from functools import cached_property
 import numpy as np
 
 from ._common import ensure_rng, fmt12
-from .clustering import brute_force_erm, iter_label_chunks
+from .clustering import (
+    _cluster_linkage,
+    _onehot,
+    _point_center_dists,
+    brute_force_erm,
+    iter_label_chunks,
+)
 from .errors import (
     CoefficientDimensionMismatch,
     NonPositiveRisk,
@@ -217,8 +223,7 @@ def population_risk(P: DistributionSpec, centers) -> float:
 
 
 def _weighted_partition_costs(K: np.ndarray, w: np.ndarray, chunk: np.ndarray, k: int) -> np.ndarray:
-    G = (chunk[:, :, None] == np.arange(k)[None, None, :]).astype(float)
-    Gw = G * w[None, :, None]
+    Gw = _onehot(chunk, k) * w[None, :, None]
     T = np.einsum("bik,bik->bk", Gw, np.matmul(K, Gw))
     Wc = Gw.sum(axis=1)
     per = np.where(Wc > 0, T / np.where(Wc > 0, Wc, 1.0), 0.0)
@@ -227,18 +232,11 @@ def _weighted_partition_costs(K: np.ndarray, w: np.ndarray, chunk: np.ndarray, k
 
 def _weighted_lloyd_labels(K: GramMatrix, w: np.ndarray, labels: np.ndarray, k: int,
                            max_iter: int = 100) -> np.ndarray:
-    """Weight-aware Lloyd polish on the atom set (used by the surrogate)."""
-    labels = labels.copy()
+    """Weight-aware Lloyd polish on the atom set (used by the surrogate): no
+    empty-cluster repair; stops when the labels repeat or after max_iter."""
     for _ in range(max_iter):
-        G = (labels[:, None] == np.arange(k)[None, :]).astype(float)
-        Gw = G * w[:, None]
-        KGw = K.entries @ Gw
-        Wc = Gw.sum(axis=0)
-        T = np.einsum("ij,ij->j", Gw, KGw)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            D = K.diag[:, None] - 2.0 * KGw / Wc[None, :] + (T / Wc**2)[None, :]
-        D[:, Wc <= 0] = np.inf
-        new_labels = np.argmin(D, axis=1).astype(np.int64)
+        D = _point_center_dists(K, *_cluster_linkage(K, labels, k, w))
+        new_labels = np.argmin(D, axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -291,8 +289,8 @@ def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> O
     best = np.inf
     for run in range(surrogate_runs):
         rng = np.random.default_rng([seed_base, 0x5EED, k, run])
-        a, _ = approximate_erm(P.gram, k, lloyd_refine=True, rng=rng)
-        labels = _weighted_lloyd_labels(P.gram, P.weights, np.asarray(a.labels), k)
+        a, _, _ = approximate_erm(P.gram, k, rng=rng)
+        labels = _weighted_lloyd_labels(P.gram, P.weights, a.labels, k)
         centers = _weighted_mean_centers(P.weights, labels, k)
         best = min(best, population_risk(P, centers))
     return OptimalRisk(value=max(best, 0.0), exact=False)
@@ -317,23 +315,17 @@ def _fit_once(K: GramMatrix, k: int, method: str, policy: MPolicy, rng):
     coefficients are (k, n) over the sample points.
     """
     n = K.n
-    if method == "exact_erm_approx":
+    if method in ("exact_erm_approx", "approx_erm"):
         best_cost = np.inf
         best_labels = None
-        for _ in range(_EXACT_ERM_RESTARTS):
-            a, cost = approximate_erm(K, k, lloyd_refine=True, rng=rng)
+        for _ in range(_EXACT_ERM_RESTARTS if method == "exact_erm_approx" else 1):
+            a, trace, _ = approximate_erm(K, k, rng=rng)
+            cost = float(trace.per_iteration_cost[-1])
             if cost < best_cost:
                 best_cost = cost
                 best_labels = a.labels
-        G = (best_labels[:, None] == np.arange(k)[None, :]).astype(float)
-        gamma = (G / G.sum(axis=0)[None, :]).T
-        return best_cost, gamma, 0.0
-
-    if method == "approx_erm":
-        a, cost = approximate_erm(K, k, lloyd_refine=True, rng=rng)
-        G = (a.labels[:, None] == np.arange(k)[None, :]).astype(float)
-        gamma = (G / G.sum(axis=0)[None, :]).T
-        return cost, gamma, 0.0
+        G = _onehot(best_labels, k)
+        return best_cost, (G / G.sum(axis=0)).T, 0.0
 
     if method == "nystrom":
         m = policy.landmarks_for(K, n, k)
@@ -477,7 +469,8 @@ def beta_ratio_study(
                 break
         K = gram_matrix(P.kernel, P.atoms[sample_atoms])
         _, denom = brute_force_erm(K, ki)
-        _, num = approximate_erm(K, ki, lloyd_refine=True, rng=rng)
+        _, trace, _ = approximate_erm(K, ki, rng=rng)
+        num = float(trace.per_iteration_cost[-1])
         if denom < 1e-15:
             ratios[i] = 1.0 if num < 1e-12 else np.inf
         else:

@@ -238,23 +238,21 @@ def approximate_erm(
     K: GramMatrix,
     k: int,
     rounds: int | None = None,
-    lloyd_refine: bool = True,
     rng=None,
     max_iter: int = 300,
     rel_tol: float = 1e-9,
 ):
-    """Seeding, local search, and optional Lloyd refinement in one call.
+    """Seeding, local search, and Lloyd refinement in one call.
 
     ``rounds`` defaults to 25 * k, mirroring the O(k) local-search budget of
     the underlying algorithm with the constant fixed at 25.  Returns the
-    final assignment and its cost.
+    final assignment, its Lloyd trace (the last cost is the assignment's),
+    and the number of local-search swaps accepted.
     """
     rng = ensure_rng(rng)
     if rounds is None:
         rounds = 25 * k
     seed = kernel_kmeanspp(K, k, rng)
     improved = local_search_improve(K, seed, rounds, rng)
-    if not lloyd_refine:
-        return improved.induced, improved.cost
     assignment, trace = kernel_lloyd(K, improved.induced, max_iter=max_iter, rel_tol=rel_tol)
-    return assignment, float(trace.per_iteration_cost[-1])
+    return assignment, trace, improved.swaps_accepted

@@ -109,6 +109,78 @@ class TestClusterCommand:
         assert (env_out / "assignment.csv").is_file()
 
 
+REGRESSION_CONFIG = """
+[kernel]
+family = gaussian
+bandwidth = 1.5
+
+[data]
+source = inline
+inline = 0.19 -0.2; 0.96 0.16; -0.8 0.54; 1.96 1.42; -1.06 -1.9; -0.93 0.06; -3.49 -0.33;
+  -1.87 -1.1; -0.82 -0.47; 0.62 1.56; -0.19 2.05; -1 0.53; 1.36 0.14; -1.12 -1.38;
+  -0.69 0.33; -1.51 -0.31; -0.24 0.81; 0.32 0.53; -0.98 -0.19; 1.18 2.24
+
+[cluster]
+k = 4
+restarts = 1
+
+[nystrom]
+m = 5
+mode = fixed
+
+[run]
+master_seed = 7
+output_dir = {out}
+"""
+
+# Outputs of `cluster` on REGRESSION_CONFIG, recorded before the three Lloyd
+# loops shared one: labels, traces and summaries per method.
+CLUSTER_REGRESSION = {
+    "lloyd": (
+        "2 2 0 3 1 0 1 1 1 3 0 0 2 1 0 1 0 2 1 3",
+        [0.233413702261, 0.214002973432, 0.208211258102, 0.208211258102],
+        {"iterations": "3", "converged": "True"},
+        {"final_cost": 0.208211258102},
+    ),
+    "approx": (
+        "3 3 1 0 2 1 2 2 1 0 0 1 3 2 1 1 1 3 1 0",
+        [0.18203204168, 0.18203204168],
+        {"iterations": "1", "converged": "True", "swaps_accepted": "5"},
+        {"final_cost": 0.18203204168},
+    ),
+    "nystrom": (
+        "1 1 0 2 3 0 3 3 0 2 2 0 1 3 0 0 1 1 0 2",
+        [0.276343135781, 0.256620925495, 0.234254984319, 0.234254984319],
+        {"iterations": "3", "converged": "True", "m": "5"},
+        {"final_cost": 0.234254984319, "cost_projected": 0.0954484665716},
+    ),
+}
+
+
+class TestClusterRegression:
+    @pytest.mark.parametrize("method", sorted(CLUSTER_REGRESSION))
+    def test_outputs_match_recorded(self, config_file, method):
+        labels, costs, exact, floats = CLUSTER_REGRESSION[method]
+        cfg, out = config_file(body=REGRESSION_CONFIG)
+        assert main(["cluster", "--config", str(cfg), "--method", method]) == 0
+        want = "point_index,cluster_id\n" + "".join(
+            f"{i},{c}\n" for i, c in enumerate(labels.split())
+        )
+        assert (out / "assignment.csv").read_text() == want
+        header, rows = read_csv(out / "trace.csv")
+        assert header == ["iteration", "cost"]
+        assert [int(r[0]) for r in rows] == list(range(len(costs)))
+        assert [float(r[1]) for r in rows] == pytest.approx(costs, rel=1e-12, abs=0.0)
+        summary = dict(
+            line.split(": ", 1) for line in (out / "summary.txt").read_text().splitlines()
+        )
+        assert summary.keys() == {"method", "n", "k", "final_cost", *exact, *floats}
+        assert (summary["method"], summary["n"], summary["k"]) == (method, "20", "4")
+        assert {key: summary[key] for key in exact} == exact
+        for key, value in floats.items():
+            assert float(summary[key]) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
 class TestSpectrumAndEmbed:
     def test_spectrum_prints_modes(self, config_file, capsys):
         cfg, out = config_file()
@@ -288,6 +360,19 @@ class TestConfigValidation:
         cfg, _ = config_file(body=body)
         assert main(["cluster", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "line 3")
+
+    @pytest.mark.parametrize("method", ["lloyd", "approx", "nystrom"])
+    @pytest.mark.parametrize(
+        "setting, key",
+        [("max_iter = 0", "[cluster] max_iter"), ("max_iter = -3", "[cluster] max_iter"),
+         ("rel_tol = -1", "[cluster] rel_tol"), ("rel_tol = nan", "[cluster] rel_tol")],
+    )
+    def test_bad_lloyd_settings_exit_two(self, config_file, capsys, method, setting, key):
+        # max_iter = 0 and rel_tol = -1 used to end in a ValueError traceback
+        # with exit 1 under lloyd and approx, and to run unchecked under nystrom
+        cfg, _ = config_file(body=BASE_CONFIG.replace("restarts = 5", f"restarts = 5\n{setting}"))
+        assert main(["cluster", "--config", str(cfg), "--method", method]) == 2
+        self.assert_one_line_error(capsys, key)
 
     @pytest.mark.parametrize("restarts", ["0", "-2"])
     def test_restarts_below_one_exits_two(self, config_file, capsys, restarts):

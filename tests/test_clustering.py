@@ -11,13 +11,12 @@ from kkmlab import (
     gram_matrix,
     kernel_kmeanspp,
     kernel_lloyd,
-    point_center_dist_sq,
     random_assignment,
 )
 import kkmlab.clustering as clustering_module
 from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import blob_labels, two_blob_points
-from kkmlab.errors import EmptyCluster, IndexOutOfRange, InstanceTooLarge, KTooLarge, KTooSmall
+from kkmlab.errors import EmptyCluster, InstanceTooLarge, KTooLarge, KTooSmall
 from kkmlab.kernels import GramMatrix
 from oracle_utils import reference_chunk_costs, reference_label_chunks
 
@@ -92,37 +91,31 @@ class TestClusterCost:
             assert cluster_cost(Kp, ap) == pytest.approx(c0, rel=1e-13)
 
 
-class TestPointCenterDistSq:
+class TestPointCenterDists:
+    @staticmethod
+    def dists(K, a):
+        return clustering_module._point_center_dists(
+            K, *clustering_module._cluster_linkage(K, a.labels, a.k)
+        )
+
     def test_own_singleton_cluster_zero(self):
         rng = np.random.default_rng(2)
         K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(4, 2)))
         a = Assignment.from_labels([0, 1, 1, 1], 2)
-        assert point_center_dist_sq(K, a, 0, 0) == 0.0
+        assert self.dists(K, a)[0, 0] == 0.0
 
     def test_two_point_centroid_distance(self):
         K = gram_matrix(KernelSpec("linear"), [[1.0, 0.0], [-1.0, 0.0]])
         a = Assignment.from_labels([0, 0], 1)
-        assert point_center_dist_sq(K, a, 0, 0) == pytest.approx(1.0, abs=1e-15)
+        assert self.dists(K, a)[:, 0] == pytest.approx([1.0, 1.0], abs=1e-15)
 
-    def test_cost_is_mean_of_point_distances(self):
+    def test_own_cluster_distances_sum_to_n_cost(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(9, 2))
         K = gram_matrix(KernelSpec("gaussian"), X)
         a = random_assignment(9, 3, rng)
-        mean_d = np.mean(
-            [point_center_dist_sq(K, a, i, int(a.labels[i])) for i in range(9)]
-        )
-        assert cluster_cost(K, a) == pytest.approx(mean_d, abs=1e-10)
-
-    def test_guards(self):
-        K = gram_matrix(KernelSpec("linear"), np.eye(3))
-        a = Assignment.from_labels([0, 0, 1], 3)
-        with pytest.raises(EmptyCluster):
-            point_center_dist_sq(K, a, 0, 2)
-        with pytest.raises(IndexOutOfRange):
-            point_center_dist_sq(K, a, 5, 0)
-        with pytest.raises(IndexOutOfRange):
-            point_center_dist_sq(K, a, 0, 7)
+        own = self.dists(K, a)[np.arange(9), a.labels]
+        assert own.sum() == pytest.approx(9 * cluster_cost(K, a), abs=1e-10)
 
 
 class TestKernelLloyd:

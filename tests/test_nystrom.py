@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from kkmlab.errors import (
     MTooLarge,
     SingularLandmarkBlockWarning,
 )
-from kkmlab.nystrom import euclidean_lloyd
+import kkmlab.clustering as clustering_module
+from kkmlab.nystrom import euclidean_kmeanspp_labels, euclidean_lloyd
 
 
 def restricted_optimum(K, L, k):
@@ -187,7 +190,7 @@ class TestNystromKkmeans:
             X = two_blob_points(24, separation=10.0, spread=1.0, rng=rng)
             K = gram_matrix(KernelSpec("gaussian", bandwidth=4.0), X)
             L = sample_landmarks_uniform(24, 4, rng)
-            a, _, _ = nystrom_kkmeans(K, L, 2, init="kmeanspp", rng=rng)
+            a, _, _ = nystrom_kkmeans(K, L, 2, rng=rng)
             truth = blob_labels(24)
             if any(
                 np.array_equal(np.asarray(p)[truth], np.asarray(a.labels))
@@ -232,3 +235,61 @@ class TestNystromKkmeans:
             _, trace = euclidean_lloyd(emb.coords, random_assignment(n, 3, rng))
             c = trace.per_iteration_cost
             assert np.all(np.diff(c) <= 1e-9 * np.maximum(c[:-1], 1e-300))
+
+
+class TestEuclideanLloyd:
+    @staticmethod
+    def blob_instance(seed, n, k, m, init):
+        rng = np.random.default_rng(seed)
+        centers = 3.0 * rng.normal(size=(k, 2))
+        X = centers[rng.integers(k, size=n)] + rng.normal(size=(n, 2))
+        K = gram_matrix(KernelSpec("gaussian", bandwidth=1.5), X)
+        Z = nystrom_embed(K, sample_landmarks_uniform(n, m, rng)).coords
+        if init == "random":
+            return Z, random_assignment(n, k, rng)
+        return Z, euclidean_kmeanspp_labels(Z, k, rng)
+
+    @pytest.mark.parametrize(
+        "seed, n, k, m, init, max_iter, labels_sha, iterations, converged, cost, repairs",
+        [
+            (5, 300, 5, 16, "random", 300, "1b73cbb3725aceb6", 12, True, 0.2677851319725058, 0),
+            (11, 320, 6, 24, "kmeanspp", 300, "474e32b4906729bc", 6, True, 0.31939023701539976, 0),
+            (0, 300, 12, 20, "random", 300, "3add0b6b5922724a", 18, True, 0.19295707550045238, 1),
+            (23, 400, 10, 30, "kmeanspp", 4, "b6d431c72890d388", 4, False, 0.2559691206064191, 0),
+        ],
+    )
+    def test_fixed_seed_regression(
+        self, monkeypatch, seed, n, k, m, init, max_iter, labels_sha, iterations, converged,
+        cost, repairs,
+    ):
+        # pinned from the loop that euclidean_lloyd kept apart from kernel_lloyd's
+        calls = []
+        real = clustering_module._repair_empty
+        monkeypatch.setattr(
+            clustering_module, "_repair_empty", lambda *a: calls.append(1) or real(*a)
+        )
+        Z, a0 = self.blob_instance(seed, n, k, m, init)
+        a, trace = euclidean_lloyd(Z, a0, max_iter=max_iter)
+        assert hashlib.sha256(a.labels.tobytes()).hexdigest()[:16] == labels_sha
+        assert trace.iterations == iterations
+        assert trace.converged is converged
+        assert trace.per_iteration_cost.size == iterations + 1
+        assert trace.per_iteration_cost[-1] == pytest.approx(cost, rel=1e-12, abs=0.0)
+        assert len(calls) == repairs
+
+    @pytest.mark.parametrize("lloyd", ["kernel", "euclidean"])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"max_iter": 0}, "max_iter"), ({"rel_tol": -1.0}, "rel_tol"),
+         ({"rel_tol": float("nan")}, "rel_tol")],
+    )
+    def test_bad_settings_rejected(self, lloyd, kwargs, message):
+        X = np.random.default_rng(4).normal(size=(8, 2))
+        K = gram_matrix(KernelSpec("gaussian"), X)
+        init = Assignment.from_labels([0, 1] * 4, 2)
+        with pytest.raises(ValueError, match=message):
+            if lloyd == "kernel":
+                kernel_lloyd(K, init, **kwargs)
+            else:
+                euclidean_lloyd(nystrom_embed(K, LandmarkSet.from_indices(range(8))).coords,
+                                init, **kwargs)

@@ -112,6 +112,12 @@ class TestOptimalRisk:
         assert not res.exact
         assert res.value >= 0.0
 
+    def test_surrogate_value_pinned(self):
+        # recorded when the weight-aware polish had its own distance code;
+        # the polish now runs on the shared linkage and distances
+        res = optimal_risk(standard_benchmark(4), 4, surrogate_runs=20)
+        assert res.value == pytest.approx(0.2402674516138071, rel=1e-12, abs=0.0)
+
     def test_surrogate_matches_exhaustive_oracle(self):
         # 13 atoms exceed the exact guard, but a 2-block split can still be
         # enumerated here via bitmasks as an independent oracle

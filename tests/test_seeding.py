@@ -488,8 +488,8 @@ class TestApproximateErm:
     def test_k_equals_n_cost_zero(self):
         rng = np.random.default_rng(3)
         K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(6, 2)))
-        _, cost = approximate_erm(K, 6, rng=rng)
-        assert cost == pytest.approx(0.0, abs=1e-12)
+        _, trace, _ = approximate_erm(K, 6, rng=rng)
+        assert trace.per_iteration_cost[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_recovers_two_blobs(self):
         from itertools import permutations
@@ -499,7 +499,7 @@ class TestApproximateErm:
             rng = np.random.default_rng(seed)
             X = two_blob_points(16, separation=10.0, spread=1.0, rng=rng)
             K = gram_matrix(KernelSpec("gaussian", bandwidth=4.0), X)
-            a, _ = approximate_erm(K, 2, rng=rng)
+            a, _, _ = approximate_erm(K, 2, rng=rng)
             truth = blob_labels(16)
             if any(
                 np.array_equal(np.asarray(p)[truth], np.asarray(a.labels))
@@ -516,7 +516,8 @@ class TestApproximateErm:
             X = rng.normal(size=(n, 2))
             K = gram_matrix(KernelSpec("gaussian"), X)
             _, opt = brute_force_erm(K, k)
-            _, cost = approximate_erm(K, k, lloyd_refine=True, rng=rng)
+            _, trace, _ = approximate_erm(K, k, rng=rng)
+            cost = trace.per_iteration_cost[-1]
             assert cost >= opt - 1e-10
             if opt < 1e-15:
                 close += cost < 1e-12
