@@ -19,7 +19,7 @@ from .errors import (
     KTooLarge,
     KTooSmall,
 )
-from .kernels import GramMatrix
+from .kernels import GramMatrix, _cost_margin
 
 __all__ = [
     "Assignment",
@@ -142,8 +142,9 @@ def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float):
     Each step reassigns every point to its nearest center (ties broken toward
     the lowest cluster index).  A cluster that empties is repaired by donating
     the point currently farthest from its own center, which keeps k fixed and
-    never increases the cost.  Stops when labels are unchanged, the relative
-    cost drop falls below ``rel_tol``, or ``max_iter`` is reached.
+    never increases the cost.  Stops when labels are unchanged (their cost is
+    repeated, not refit), the relative cost drop falls below ``rel_tol``, or
+    ``max_iter`` is reached.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -161,13 +162,16 @@ def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float):
         new_labels = np.argmin(D, axis=1)
         if np.any(np.bincount(new_labels, minlength=k) == 0):
             new_labels = _repair_empty(new_labels, k, D[np.arange(len(D)), new_labels])
+        if np.array_equal(new_labels, labels):
+            costs.append(costs[-1])  # fit is deterministic: the same labels, the same bits
+            converged = True
+            break
         cost, dists = fit(new_labels)
         costs.append(cost)
-        unchanged = bool(np.array_equal(new_labels, labels))
         labels = new_labels
         prev = costs[-2]
         drop = (prev - cost) / prev if prev > 0 else 0.0
-        if unchanged or drop < rel_tol:
+        if drop < rel_tol:
             converged = True
             break
 
@@ -199,20 +203,39 @@ def kernel_lloyd(
     return _lloyd(init, fit, max_iter, rel_tol)
 
 
-def _grow_partitions(rows: np.ndarray, n: int, k: int):
+def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None):
     """Yield the exact-k completions of the prefixes ``rows`` in order, 512
-    prefixes at a time (depth-first, so the order stays lexicographic)."""
-    if rows.shape[1] == n:
-        yield rows
+    prefixes at a time (depth-first, so the order stays lexicographic), each
+    as ``(rows, sums)``.
+
+    Without a Gram ``K`` the sums stay None.  With one, ``sums = (T, sizes,
+    A)`` carries each prefix's block pair sums T (B, k), block sizes (B, k)
+    and block row sums A (B, k, n - p) over the columns p, p+1, ... not yet
+    labelled, so placing point p in block b costs O(n): T_b += 2 A_b[p] + K_pp,
+    A_b += K_p.  Leaves carry no A."""
+    p = rows.shape[1]
+    if p == n:
+        yield rows, sums
         return
     blocks = np.arange(k)
     for s in range(0, len(rows), 512):  # small slices stay in cache
         prefix = rows[s : s + 512]
         used = prefix.max(axis=1, keepdims=True) + 1
         # a child opens at most one new block and leaves room for the rest
-        fits = (blocks <= used) & (n - prefix.shape[1] > k - np.maximum(used, blocks + 1))
+        fits = (blocks <= used) & (n - p > k - np.maximum(used, blocks + 1))
         r, b = np.nonzero(fits)  # row-major: children follow their parents' order
-        yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k)
+        child = None
+        if K is not None:
+            T, sizes, A = sums
+            parent, i = s + r, np.arange(len(r))
+            T, sizes = T[parent], sizes[parent]
+            T[i, b] += 2.0 * A[parent, b, 0] + K[p, p]
+            sizes[i, b] += 1
+            A = A[:, :, 1:][parent] if p + 1 < n else None
+            if A is not None:
+                A[i, b] += K[p, p + 1 :]
+            child = (T, sizes, A)
+        yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k, K, child)
 
 
 def iter_label_chunks(n: int, k: int, chunk: int = 4096):
@@ -223,13 +246,27 @@ def iter_label_chunks(n: int, k: int, chunk: int = 4096):
     if not 1 <= k <= n:
         return
     buf = np.empty((0, n), dtype=np.int64)
-    for rows in _grow_partitions(np.zeros((1, 1), dtype=np.int64), n, k):
+    for rows, _ in _grow_partitions(np.zeros((1, 1), dtype=np.int64), n, k):
         buf = np.concatenate((buf, rows))
         full = len(buf) - len(buf) % chunk
         yield from (buf[s : s + chunk] for s in range(0, full, chunk))
         buf = buf[full:]
     if len(buf):
         yield buf
+
+
+def _scored_partitions(K: GramMatrix, k: int):
+    """Every partition of ``K``'s points into exactly k nonempty blocks, in
+    ``iter_label_chunks``'s order and in blocks of rows, with each row's cost
+    from the pair sums carried down the prefix tree: O(k) a partition, and
+    within ``kernels._cost_margin(K)`` of ``_chunk_costs``'s cost."""
+    n, E = K.n, K.entries
+    T, sizes, A = np.zeros((1, k)), np.zeros((1, k), dtype=np.int64), np.zeros((1, k, n - 1))
+    T[0, 0], sizes[0, 0], A[0, 0] = E[0, 0], 1, E[0, 1:]  # the prefix "point 0 in block 0"
+    diag_sum = float(np.sum(K.diag))
+    root = np.zeros((1, 1), dtype=np.int64)
+    for rows, (T, sizes, _) in _grow_partitions(root, n, k, E, (T, sizes, A)):
+        yield rows, (diag_sum - np.sum(T / sizes, axis=1)) / n
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:
@@ -248,6 +285,18 @@ def brute_force_erm(K: GramMatrix, k: int):
     within-cluster scatter, and optimal centers lie in the span of the data),
     so enumerating partitions into exactly k nonempty blocks is exact.
     Guarded to n <= 12 and k <= 4.
+
+    A screen scores every partition in O(k) from pair sums shared along the
+    enumeration's prefixes (``_scored_partitions``).  Only the partitions
+    within twice ``kernels._cost_margin`` of the lowest screen cost so far
+    are rescored by ``_chunk_costs``, and the first strict minimum among
+    them wins, in enumeration order.  The two costs differ by at most one
+    margin, so every partition dropped costs more than one already seen and
+    the first minimizer is always rescored: labels and cost are, bit for
+    bit, those of scoring every partition with ``_chunk_costs``.  When every
+    partition ties (all points identical), every one is rescored, and the
+    screen is pure overhead.  A NaN in ``K`` rescores nothing and raises
+    ``InvariantViolated``.
     """
     n = K.n
     if k < 1:
@@ -261,14 +310,20 @@ def brute_force_erm(K: GramMatrix, k: int):
         return Assignment.from_labels(labels, k), 0.0
 
     diag_sum = float(np.sum(K.diag))
+    slack = 2.0 * _cost_margin(K)
+    best_fast = np.inf
     best_cost = np.inf
     best_labels = None
-    for chunk in iter_label_chunks(n, k):
-        costs = _chunk_costs(K.entries, diag_sum, chunk, k)
+    for rows, fast in _scored_partitions(K, k):
+        best_fast = min(best_fast, float(fast.min()))
+        near = rows[fast <= best_fast + slack]
+        if not len(near):
+            continue
+        costs = _chunk_costs(K.entries, diag_sum, near, k)
         idx = int(np.argmin(costs))
         if costs[idx] < best_cost:
             best_cost = float(costs[idx])
-            best_labels = chunk[idx]
+            best_labels = near[idx]
     if best_labels is None:
         raise InvariantViolated(f"no partition of {n} points into {k} blocks was scored")
     return Assignment.from_labels(best_labels, k), max(best_cost, 0.0)

@@ -148,13 +148,24 @@ class GramMatrix:
             return None
         entries = self.entries[np.ix_(rep, rep)]
         dists = np.clip(self.diag[rep, None] - 2.0 * entries + self.diag[rep], 0.0, None)
-        # Each side's mean-centroid cost is within gamma_{3n+4} max|K| of its
-        # exact value, gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability
-        # of Numerical Algorithms, 2nd ed., 4.2); 4 roundings more cover the threshold.
-        m = (3 * self.n + 8) * 2.0**-53
-        margin = 2.0 * m / (1.0 - m) * max(float(self.entries.max()), -float(self.entries.min()))
         sizes = np.bincount(groups).astype(float)
-        return DistinctGram(groups, rep, sizes, entries, dists, float(np.sum(self.diag)), margin)
+        trace = float(np.sum(self.diag))
+        return DistinctGram(groups, rep, sizes, entries, dists, trace, _cost_margin(self))
+
+
+def _cost_margin(K: GramMatrix) -> float:
+    """Bound on the gap between two floating-point evaluations of one
+    labeling's mean-centroid cost on ``K`` that sum in different orders.
+
+    Each evaluation is within gamma_{3n+4} max|K| of the exact cost, where
+    gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1 and 4.2): a block's pair sum meets gamma_{2n}
+    s_j^2 max|K| whether it is a Gram product or a running sum, and the
+    division by s_j, the sum over blocks and the trace add the rest.  Four
+    roundings more cover a threshold built on it.  NaN if ``K`` holds a NaN.
+    """
+    m = (3 * K.n + 8) * 2.0**-53
+    return 2.0 * m / (1.0 - m) * max(float(K.entries.max()), -float(K.entries.min()))
 
 
 @dataclass(frozen=True)

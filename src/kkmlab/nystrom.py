@@ -192,6 +192,8 @@ def euclidean_lloyd(
 ):
     """Plain Lloyd iteration on embedded coordinates: the kernel-space loop
     (``kernel_lloyd``) with centers restricted to the coordinates' means."""
+    if init.n != Z.shape[0]:
+        raise ValueError("init and coordinates disagree on n")
 
     def fit(labels):
         # cost from the coordinates' own means: summed from the distances it rounds differently
@@ -231,6 +233,8 @@ def nystrom_kkmeans(
     comparisons should use the in-space cost; the projected cost ignores the
     part of the data outside the landmark span.
     """
+    if init_labels is not None and init_labels.n != K.n:
+        raise ValueError("init and coordinates disagree on n")
     emb = nystrom_embed(K, L, jitter=jitter)
     if init_labels is None:
         init_labels = euclidean_kmeanspp_labels(emb.coords, k, rng)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from kkmlab.clustering import Assignment, _chunk_costs, iter_label_chunks
 from kkmlab.errors import InvariantViolated, NonFiniteInput, NormalizationViolated
 from kkmlab.kernels import GramMatrix, dists_to_points
 from kkmlab.seeding import _result_for_centers
@@ -57,6 +58,26 @@ def reference_chunk_costs(K, diag_sum, chunk_labels, k):
     T = np.einsum("bik,bik->bk", G, KG)
     sizes = G.sum(axis=1)
     return (diag_sum - np.sum(T / sizes, axis=1)) / K.shape[0]
+
+
+def reference_brute_force_erm(K, k):
+    """Every partition scored by ``_chunk_costs``, the first strict minimum
+    kept: the reference for the screened ``brute_force_erm``."""
+    n = K.n
+    if k == n:
+        return Assignment.from_labels(np.arange(n, dtype=np.int64), k), 0.0
+    diag_sum = float(np.sum(K.diag))
+    best_cost = np.inf
+    best_labels = None
+    for chunk in iter_label_chunks(n, k):
+        costs = _chunk_costs(K.entries, diag_sum, chunk, k)
+        idx = int(np.argmin(costs))
+        if costs[idx] < best_cost:
+            best_cost = float(costs[idx])
+            best_labels = chunk[idx]
+    if best_labels is None:
+        raise InvariantViolated(f"no partition of {n} points into {k} blocks was scored")
+    return Assignment.from_labels(best_labels, k), max(best_cost, 0.0)
 
 
 def _iter_exact_partitions(n: int, k: int):

@@ -16,9 +16,19 @@ from kkmlab import (
 import kkmlab.clustering as clustering_module
 from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import blob_labels, two_blob_points
-from kkmlab.errors import EmptyCluster, InstanceTooLarge, KTooLarge, KTooSmall
-from kkmlab.kernels import GramMatrix
-from oracle_utils import reference_chunk_costs, reference_label_chunks
+from kkmlab.errors import (
+    EmptyCluster,
+    InstanceTooLarge,
+    InvariantViolated,
+    KTooLarge,
+    KTooSmall,
+)
+from kkmlab.kernels import GramMatrix, _cost_margin
+from oracle_utils import (
+    reference_brute_force_erm,
+    reference_chunk_costs,
+    reference_label_chunks,
+)
 
 
 def embedding_cost_oracle(K, labels, k):
@@ -203,8 +213,15 @@ class TestKernelLloyd:
             clustering_module, "_cluster_linkage", lambda *a: calls.append(1) or real(*a)
         )
         K, a0 = self.blob_instance(0, 300, 12, "random")
+        # one product for the initial labels and one per step that moves a
+        # point; the final step moves none and repeats the last cost
         _, trace = kernel_lloyd(K, a0)
         assert trace.iterations > 1
+        assert trace.per_iteration_cost[-1] == trace.per_iteration_cost[-2]
+        assert len(calls) == trace.iterations
+        calls.clear()
+        _, trace = kernel_lloyd(K, a0, max_iter=4)
+        assert not trace.converged
         assert len(calls) == trace.iterations + 1
 
 
@@ -295,6 +312,75 @@ class TestBruteForceErm:
             if best <= opt + 1e-6:
                 matches += 1
         assert matches >= 36  # 90% of 40
+
+
+_SCREEN_CASES = [(n, k) for n in range(4, 10) for k in range(1, 5)] + [(11, 3), (12, 3)]
+_SCREEN_KERNELS = [
+    KernelSpec("gaussian", bandwidth=1.0),
+    KernelSpec("linear"),
+    KernelSpec("polynomial", degree=3, offset=1.0),
+]
+
+
+def _screen_points(n, layout, seed):
+    X = np.random.default_rng(seed).normal(size=(n, 2))
+    if layout == "duplicated":
+        X[1::3] = X[0]  # copies of one point, so tied partitions come in swaps
+        X[n - 1] = X[2]
+    elif layout == "identical":
+        X[:] = X[0]  # every partition costs zero up to rounding
+    return X
+
+
+class TestScreenedErm:
+    @pytest.mark.parametrize("spec", _SCREEN_KERNELS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("n, k", _SCREEN_CASES)
+    def test_equals_exhaustive_reference(self, n, k, spec):
+        for layout in ("plain", "duplicated", "identical"):
+            K = gram_matrix(spec, _screen_points(n, layout, 100 * n + k))
+            a, cost = brute_force_erm(K, k)
+            want, want_cost = reference_brute_force_erm(K, k)
+            assert a.labels.tolist() == want.labels.tolist(), layout
+            assert cost.hex() == want_cost.hex(), layout
+
+    def test_nan_gram_raises_like_reference(self):
+        E = gram_matrix(KernelSpec("gaussian"), np.random.default_rng(9).normal(size=(7, 2))).entries
+        for i, j in ((3, 3), (0, 5)):
+            bad = E.copy()
+            bad[i, j] = bad[j, i] = np.nan
+            K = GramMatrix.from_entries(bad)
+            with pytest.raises(InvariantViolated):
+                reference_brute_force_erm(K, 3)
+            with pytest.raises(InvariantViolated):
+                brute_force_erm(K, 3)
+
+    @pytest.mark.parametrize("n, k", [(12, 4), (9, 3), (6, 2)])
+    def test_chunk_costs_on_row_subsets_match_full_chunk(self, n, k):
+        # the certificate rescores kept rows alone, so their costs must not
+        # depend on which other rows share the call
+        X = _screen_points(n, "duplicated", 3)
+        K = gram_matrix(KernelSpec("gaussian", bandwidth=1.0), X)
+        diag_sum = float(np.sum(K.diag))
+        rng = np.random.default_rng(n)
+        for chunk in iter_label_chunks(n, k):
+            full = clustering_module._chunk_costs(K.entries, diag_sum, chunk, k)
+            subsets = [np.arange(1), np.arange(len(chunk) - 1, len(chunk)),
+                       np.sort(rng.choice(len(chunk), size=min(len(chunk), 13), replace=False))]
+            for rows in subsets:
+                got = clustering_module._chunk_costs(K.entries, diag_sum, chunk[rows], k)
+                assert got.tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("spec", _SCREEN_KERNELS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("n, k", [(11, 4), (10, 3), (9, 2), (7, 4)])
+    def test_screen_costs_within_margin(self, n, k, spec):
+        K = gram_matrix(spec, _screen_points(n, "plain", 7 * n + k))
+        diag_sum = float(np.sum(K.diag))
+        screened = list(clustering_module._scored_partitions(K, k))
+        rows = np.concatenate([r for r, _ in screened])
+        np.testing.assert_array_equal(rows, np.concatenate(list(iter_label_chunks(n, k))))
+        for r, fast in screened:
+            exact = clustering_module._chunk_costs(K.entries, diag_sum, r, k)
+            assert np.max(np.abs(fast - exact)) <= _cost_margin(K)
 
 
 _LABEL_CHUNK_CASES = [(n, k) for n in range(1, 11) for k in range(1, 5)] + [(12, 2), (12, 3)]

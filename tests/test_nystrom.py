@@ -25,6 +25,7 @@ from kkmlab.errors import (
     SingularLandmarkBlockWarning,
 )
 import kkmlab.clustering as clustering_module
+import kkmlab.nystrom as nystrom_module
 from kkmlab.nystrom import euclidean_kmeanspp_labels, euclidean_lloyd
 
 
@@ -276,6 +277,17 @@ class TestEuclideanLloyd:
         assert trace.per_iteration_cost.size == iterations + 1
         assert trace.per_iteration_cost[-1] == pytest.approx(cost, rel=1e-12, abs=0.0)
         assert len(calls) == repairs
+
+    @pytest.mark.parametrize("n_labels", [4, 6])
+    def test_init_of_other_length_rejected_before_any_work(self, monkeypatch, n_labels):
+        X = np.random.default_rng(5).normal(size=(5, 2))
+        K = gram_matrix(KernelSpec("gaussian"), X)
+        init = Assignment.from_labels(np.arange(n_labels) % 2, 2)
+        with pytest.raises(ValueError, match="init and coordinates disagree on n"):
+            euclidean_lloyd(X, init)
+        monkeypatch.setattr(nystrom_module, "nystrom_embed", lambda *a, **kw: pytest.fail())
+        with pytest.raises(ValueError, match="init and coordinates disagree on n"):
+            nystrom_kkmeans(K, LandmarkSet.from_indices(range(3)), 2, init_labels=init)
 
     @pytest.mark.parametrize("lloyd", ["kernel", "euclidean"])
     @pytest.mark.parametrize(
