@@ -1,23 +1,25 @@
 """Compare two commits on the benchmark in alternating pairs; write BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --label NAME --seed0 S [--pairs 10]
-        [--parent REV] [--change REV] [--workloads W,W,...] [--seconds 20]
-        [--traced W,W,...] [--scratch DIR] [--note TEXT]
+        [--parent REV] [--change REV] [--traced W,W,...] [--scratch DIR]
+        [--note TEXT]
 
 Each side is a fresh ``git archive`` checkout under ``--scratch``: the parent
 commit (default ``HEAD~1``) and the change (default ``HEAD``).  Pair i runs
 ``perfbench/run.py --workload W --seed S+i --seconds 20 --trace 0`` on both
-sides for every workload in turn, so the workloads are interleaved and each
-pair has a seed of its own; the side that runs first alternates from pair to
-pair.  ``--traced`` workloads then get one ``--trace 1`` run per side at the
-reference seed 42, and every per-layer metric is recorded.
+sides for each of the four workloads in turn, so the workloads are
+interleaved and each pair has a seed of its own; the side that runs first
+alternates from pair to pair.  The seconds are ``BENCHMARK.json``'s
+``run_seconds``.  ``--traced`` workloads then get one ``--trace 1`` run per
+side at the reference seed 42, and every per-layer metric is recorded.
 
 The JSON holds both shas, the seeds, the environment (cores, Python, numpy,
 BLAS, thread variables, machine), every run's end-to-end metrics, and per
 workload and metric each side's median and quartiles (linear interpolation),
 the median change, the parent's interquartile range and
 ``change_better_pairs``, the number of pairs in which the change's value was
-lower (every end-to-end metric is better lower).  Progress goes to stderr.
+lower (every end-to-end metric is better lower).  It is written to
+``BENCH_<label>.json`` at the repository root; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -119,30 +121,27 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--traced", default="", help="workloads traced once per side at seed 42")
     parser.add_argument("--scratch", type=Path, default=ROOT / ".bench_pairs")
     parser.add_argument("--note", default="")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json in the repository")
     args = parser.parse_args(argv)
-    workloads = [w for w in args.workloads.split(",") if w]
     traced = [w for w in args.traced.split(",") if w]
-    if args.pairs < 1 or not set(workloads + traced) <= set(WORKLOADS):
-        parser.error(f"need --pairs >= 1 and workloads among {', '.join(WORKLOADS)}")
+    if args.pairs < 1 or not set(traced) <= set(WORKLOADS):
+        parser.error(f"need --pairs >= 1 and traced workloads among {', '.join(WORKLOADS)}")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     sides = {s: args.scratch / s for s in ("parent", "change")}
     shas = {s: checkout(rev, sides[s]) for s, rev in (("parent", args.parent),
                                                         ("change", args.change))}
     seeds = [args.seed0 + i for i in range(args.pairs)]
-    per_workload = {w: {"seeds": seeds, "pairs": []} for w in workloads}
+    per_workload = {w: {"seeds": seeds, "pairs": []} for w in WORKLOADS}
     run_env = {}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for w in workloads:
+        for w in WORKLOADS:
             pair = {"pair": i, "seed": seed, "first": order[0]}
             for s in order:
-                out = run_once(sides[s], w, seed, args.seconds, 0)
+                out = run_once(sides[s], w, seed, seconds, 0)
                 run_env = run_env or out["env"]
                 r = out["result"]
                 pair[s] = {**{m: r["metrics"][m]["value"] for m in METRICS},
@@ -151,14 +150,14 @@ def main(argv=None) -> int:
                 print(f"pair {i} seed {seed} {w} {s}: run_s {pair[s]['run_s']:.4f} "
                       f"correct {r['correct']} failed {r['failed']}", file=sys.stderr)
             per_workload[w]["pairs"].append(pair)
-    for w in workloads:
+    for w in WORKLOADS:
         per_workload[w]["summary"] = summarize(per_workload[w]["pairs"])
 
     traced_runs = {}
     for w in traced:
         traced_runs[w] = {}
         for s in ("parent", "change"):
-            r = run_once(sides[s], w, REFERENCE_SEED, args.seconds, 1)["result"]
+            r = run_once(sides[s], w, REFERENCE_SEED, seconds, 1)["result"]
             traced_runs[w][s] = {"correct": r["correct"], "failed": r["failed"],
                                  **{m: v["value"] for m, v in r["metrics"].items()}}
             print(f"traced {w} {s}: correct {r['correct']}", file=sys.stderr)
@@ -166,7 +165,7 @@ def main(argv=None) -> int:
     bench = {
         "label": args.label,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
+                   f"{seconds:g} --trace 0",
         "method": (f"{args.pairs} pairs per workload, pair i on seed {args.seed0} + i, shared "
                    "by the workloads; each side runs in a git archive checkout of its commit; "
                    "the side that runs first alternates from pair to pair, and the workloads "
@@ -181,12 +180,12 @@ def main(argv=None) -> int:
     if traced:
         bench["traced"] = {
             "command": f"python3 perfbench/run.py --workload W --seed {REFERENCE_SEED} "
-                       f"--seconds {args.seconds:g} --trace 1",
+                       f"--seconds {seconds:g} --trace 1",
             "method": "one traced run per side and workload after the pairs, in the same "
                       "checkouts",
             **traced_runs,
         }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
