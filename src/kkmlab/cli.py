@@ -16,7 +16,7 @@ import numpy as np
 
 from ._common import fmt12, write_float_csv
 from .clustering import kernel_lloyd
-from .config import ExperimentConfig, load_config
+from .config import FLAG_KEYS, ExperimentConfig, load_config
 from .errors import ConfigError, KKMLabError
 from .kernels import effective_dimension, gram_matrix, spectrum_of
 from .nystrom import (
@@ -57,14 +57,14 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
     K = gram_matrix(cfg.kernel, points)
     k = cfg.cluster.k
     method = cfg.cluster.method
-    out = cfg.output_dir
+    out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
     extra_lines = []
     if method == "lloyd":
         best = None
         for r in range(cfg.cluster.restarts):
-            rng = np.random.default_rng([cfg.master_seed, 0xC1, r])
+            rng = np.random.default_rng([cfg.run.master_seed, 0xC1, r])
             seed = kernel_kmeanspp(K, k, rng)
             a, trace = kernel_lloyd(
                 K, seed.induced, max_iter=cfg.cluster.max_iter, rel_tol=cfg.cluster.rel_tol
@@ -73,7 +73,7 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
                 best = (a, trace)
         assignment, trace = best
     elif method == "approx":
-        rng = np.random.default_rng([cfg.master_seed, 0xC2])
+        rng = np.random.default_rng([cfg.run.master_seed, 0xC2])
         assignment, trace, swaps = approximate_erm(
             K, k, cfg.cluster.rounds, rng=rng,
             max_iter=cfg.cluster.max_iter, rel_tol=cfg.cluster.rel_tol,
@@ -82,7 +82,7 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
     elif method == "nystrom":
         ny = cfg.nystrom
         m = _landmark_policy("nystrom", ny.mode, ny.m, ny).landmarks_for(K, K.n, k)
-        rng = np.random.default_rng([cfg.master_seed, 0xC3])
+        rng = np.random.default_rng([cfg.run.master_seed, 0xC3])
         L = sample_landmarks_uniform(K.n, m, rng)
         emb = nystrom_embed(K, L, jitter=cfg.nystrom.jitter)
         start = euclidean_kmeanspp_labels(emb.coords, k, rng)
@@ -120,7 +120,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     K = gram_matrix(cfg.kernel, points)
     sp = spectrum_of(K)
     xi = effective_dimension(sp)
-    out = cfg.output_dir
+    out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)
     write_float_csv(out / "spectrum.csv", "index,eigenvalue", sp.eigenvalues, index=True)
     k = cfg.cluster.k
@@ -143,10 +143,10 @@ def cmd_nystrom_embed(cfg: ExperimentConfig) -> int:
     points = cfg.load_points()
     K = gram_matrix(cfg.kernel, points)
     m = policy.landmarks_for(K, K.n, cfg.cluster.k)
-    rng = np.random.default_rng([cfg.master_seed, 0xE3])
+    rng = np.random.default_rng([cfg.run.master_seed, 0xE3])
     L = sample_landmarks_uniform(K.n, m, rng)
     emb = nystrom_embed(K, L, jitter=cfg.nystrom.jitter)
-    out = cfg.output_dir
+    out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)
     header = ",".join(f"z{j}" for j in range(L.m)) + ",residual"
     write_float_csv(out / "embedded.csv", header, emb.coords, emb.residuals)
@@ -156,7 +156,7 @@ def cmd_nystrom_embed(cfg: ExperimentConfig) -> int:
 
 
 def cmd_rad_check(cfg: ExperimentConfig) -> int:
-    out = cfg.output_dir
+    out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,n,estimator,value,std_error,trials,bound,verdict"]  # stdout and rad_check.csv
     violated = False
@@ -174,15 +174,15 @@ def cmd_rad_check(cfg: ExperimentConfig) -> int:
                   f"falling back to {cfg.lab.trials} Monte Carlo trials")
             fc = finite_class_rad(
                 inst.data, inst.center_sets(), trials=cfg.lab.trials,
-                rng=np.random.default_rng([cfg.master_seed, 0xAB, k, n]),
+                rng=np.random.default_rng([cfg.run.master_seed, 0xAB, k, n]),
             )
         coord = coordinate_rad(
             inst.data, trials=cfg.lab.trials,
-            rng=np.random.default_rng([cfg.master_seed, 0xAC, k, n]),
+            rng=np.random.default_rng([cfg.run.master_seed, 0xAC, k, n]),
         )
         kh = khintchine_check(
             n // k, trials=cfg.lab.trials,
-            rng=np.random.default_rng([cfg.master_seed, 0xAD, k, n]),
+            rng=np.random.default_rng([cfg.run.master_seed, 0xAD, k, n]),
         )
 
         lower = math.sqrt(k * n / 2.0)
@@ -229,7 +229,7 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
             for method in methods:
                 cell = run_cell(
                     P, n, k, method, policy, reps=sweep.reps,
-                    master_seed=cfg.master_seed,
+                    master_seed=cfg.run.master_seed,
                 )
                 report.cells.append(cell)
 
@@ -239,7 +239,6 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
         for method in methods:
             try:
                 expo, half = scaling_fit(report, "n", method=method, k=k0)
-                report.fitted_exponents[f"alpha_n[{method},k={k0}]"] = (expo, half)
                 summary.append(
                     f"alpha_n[{method},k={k0}] = {fmt12(expo)} +- {fmt12(half)}"
                 )
@@ -250,7 +249,6 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
         for method in methods:
             try:
                 expo, half = scaling_fit(report, "k", method=method, n=n0)
-                report.fitted_exponents[f"alpha_k[{method},n={n0}]"] = (expo, half)
                 summary.append(
                     f"alpha_k[{method},n={n0}] = {fmt12(expo)} +- {fmt12(half)}"
                 )
@@ -279,7 +277,7 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
         if verdict == "violated":
             status = 1
 
-    out = cfg.output_dir
+    out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "report.csv")
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
@@ -333,18 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("method", "m", "k", "trials", "methods", "reps", "output_dir", "seed")
-        if getattr(args, key, None) is not None
-    }
+    overrides = {flag: getattr(args, flag, None) for flag in FLAG_KEYS}
     try:
         cfg = load_config(args.config, overrides=overrides)
         return args.func(cfg)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KKMLabError as exc:
+    except (KKMLabError, OSError) as exc:  # ConfigError is a KKMLabError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

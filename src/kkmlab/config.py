@@ -3,24 +3,60 @@
 Reproducible sweeps beat long flag strings, so every run is driven by a
 config file; command-line flags override individual values.  The master
 seed is mandatory (there is no wall-clock default) and any referenced data
-file must exist at parse time.
+file must exist at parse time.  Each section is a dataclass and each key
+one of its fields: the annotation gives the cast, ``field(metadata=...)`` a
+list parser and a range rule.  Unknown sections and keys are errors.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelSpec
 
-__all__ = ["ExperimentConfig", "load_config", "OUTPUT_DIR_ENV"]
+__all__ = ["ExperimentConfig", "load_config", "OUTPUT_DIR_ENV", "FLAG_KEYS"]
 
 OUTPUT_DIR_ENV = "KKMLAB_OUTPUT_DIR"
+
+# each CLI flag and the (section, key) it sets
+FLAG_KEYS = {
+    "seed": ("run", "master_seed"), "output_dir": ("run", "output_dir"),
+    "method": ("cluster", "method"), "k": ("cluster", "k"), "m": ("nystrom", "m"),
+    "trials": ("lab", "trials"), "methods": ("sweep", "methods"), "reps": ("sweep", "reps"),
+}
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(v) for v in raw.replace(",", " ").split()]
+
+
+def _str_list(raw: str) -> list[str]:
+    return [v.strip() for v in raw.split(",") if v.strip()]
+
+
+def _grid_list(raw: str) -> list[tuple[int, int]]:
+    cells = [token.lower().split("x") for token in _str_list(raw)]
+    return [(int(k), int(n)) for k, n in cells]
+
+
+def _key(default, rule=None, parse=None):
+    """A key's field: its default, ``(check, wording)`` range rule and list parser."""
+    meta = {"rule": rule, "parse": parse}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")  # NaN fails too
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_ALL_AT_LEAST_1 = (lambda v: v and min(v) >= 1, "nonempty with every entry >= 1")
 
 
 @dataclass
@@ -29,47 +65,59 @@ class DataConfig:
     inline: str = ""
     path: str = ""
     generator: str = "two_blobs"
-    n: int = 64
+    n: int = _key(64, _AT_LEAST_1)
     separation: float = 8.0
     spread: float = 1.0
-    dim: int = 2
+    dim: int = _key(2, _AT_LEAST_1)
 
 
 @dataclass
 class ClusterConfig:
-    k: int = 2
+    k: int = _key(2, _AT_LEAST_1)
     method: str = "lloyd"  # lloyd | approx | nystrom
-    restarts: int = 10
-    rounds: int | None = None
-    max_iter: int = 300
-    rel_tol: float = 1e-9
+    restarts: int = _key(10, _AT_LEAST_1)
+    rounds: int | None = _key(None, _AT_LEAST_0)
+    max_iter: int = _key(300, _AT_LEAST_1)
+    rel_tol: float = _key(1e-9, _AT_LEAST_0)
 
 
 @dataclass
 class NystromConfig:
     m: int | None = None
     mode: str = "fixed"  # fixed | general | eigendecay | linear_k
-    c_scale: float = 1.0
+    c_scale: float = _key(1.0, (lambda v: v > 0, "positive"))
     delta: float = 0.1
-    jitter: float = 0.0
+    jitter: float = _key(0.0, _AT_LEAST_0)
 
 
 @dataclass
 class LabConfig:
-    trials: int = 10_000
-    grid: list[tuple[int, int]] = field(default_factory=lambda: [(2, 4), (2, 8), (4, 8)])
+    trials: int = _key(10_000, _AT_LEAST_1)
+    grid: list[tuple[int, int]] = _key(
+        [(2, 4), (2, 8), (4, 8)],
+        (lambda v: v and min(map(min, v)) >= 1, "nonempty with every k, n >= 1"),
+        _grid_list,
+    )
 
 
 @dataclass
 class SweepConfig:
-    n_values: list[int] = field(default_factory=lambda: [64, 128, 256])
-    k_values: list[int] = field(default_factory=lambda: [2])
-    methods: list[str] = field(default_factory=lambda: ["exact", "nystrom"])
-    reps: int = 50
+    n_values: list[int] = _key([64, 128, 256], _ALL_AT_LEAST_1, _int_list)
+    k_values: list[int] = _key([2], _ALL_AT_LEAST_1, _int_list)
+    methods: list[str] = _key(["exact", "nystrom"], (bool, "nonempty"), _str_list)
+    reps: int = _key(50, _AT_LEAST_1)
     m_mode: str = "general"
     m_fixed: int | None = None
     benchmark_seed: int | None = None
     benchmark_spread: float | None = None
+
+
+@dataclass
+class RunConfig:
+    master_seed: int
+    output_dir: Path = Path("out")
+    # runs are single-threaded; the key stays accepted for existing configs
+    workers: int = _key(1, (lambda v: v == 1, "1"))
 
 
 @dataclass
@@ -80,8 +128,7 @@ class ExperimentConfig:
     nystrom: NystromConfig
     lab: LabConfig
     sweep: SweepConfig
-    master_seed: int
-    output_dir: Path
+    run: RunConfig
 
     def load_points(self) -> np.ndarray:
         """Materialize the configured data source as an (n, d) array."""
@@ -105,15 +152,13 @@ class ExperimentConfig:
             if d.generator == "two_blobs":
                 from .datasets import two_blob_points
 
-                rng = np.random.default_rng([self.master_seed, 0xDA7A])
+                rng = np.random.default_rng([self.run.master_seed, 0xDA7A])
                 return two_blob_points(d.n, d.separation, d.spread, d.dim, rng)
             raise ConfigError(f"unknown synthetic generator {d.generator!r}")
         raise ConfigError(f"unknown data source {d.source!r}")
 
 
 def _read_points_csv(path: str) -> np.ndarray:
-    if not path:
-        raise ConfigError("data source csv needs a path")
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -136,160 +181,70 @@ def _read_points_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _get(cp, section, key, cast, default):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key).strip()
+def _cast(hint):
+    """The cast an annotation names; ``int | None`` casts as ``int``."""
+    t = next((a for a in get_args(hint) if a is not type(None)), hint)
+    return (lambda raw: raw.lower() in ("1", "true", "yes", "on")) if t is bool else t
+
+
+def _section(cp: configparser.ConfigParser, name: str, cls):
+    """Build one section from the keys the file gives; the defaults fill the rest."""
+    known, hints = {f.name: f for f in fields(cls)}, get_type_hints(cls)
+    values = {}
+    for key, raw in (cp[name] if cp.has_section(name) else {}).items():
+        if key not in known:
+            raise ConfigError(f"[{name}] unknown key {key!r}")
+        meta, raw = known[key].metadata, raw.strip()
+        try:
+            values[key] = value = (meta.get("parse") or _cast(hints[key]))(raw)
+        except ValueError:
+            raise ConfigError(f"[{name}] {key}: cannot parse {raw!r}") from None
+        check, wording = meta.get("rule") or (None, None)
+        if check and not check(value):
+            raise ConfigError(f"[{name}] {key} must be {wording}, got {value}")
     try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-
-
-def _int_list(raw: str) -> list[int]:
-    return [int(v) for v in raw.replace(",", " ").split()]
-
-
-def _str_list(raw: str) -> list[str]:
-    return [v.strip() for v in raw.split(",") if v.strip()]
-
-
-def _grid_list(raw: str) -> list[tuple[int, int]]:
-    cells = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        k_str, n_str = token.lower().split("x")
-        cells.append((int(k_str), int(n_str)))
-    return cells
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a config file, apply overrides, and validate the invariants."""
+    """Parse a config file, apply overrides, and validate the invariants.
+
+    ``overrides`` maps ``FLAG_KEYS`` names to values, which beat
+    ``KKMLAB_OUTPUT_DIR``, which beats the file; ``m`` also fixes the mode.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # "%" is literal, and "[DEFAULT]" is an ordinary (hence unknown) section
+    cp = configparser.ConfigParser(interpolation=None, default_section="",
+                                   inline_comment_prefixes=(";", "#"))
     try:
         cp.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
 
-    overrides = overrides or {}
+    overrides = {flag: v for flag, v in (overrides or {}).items() if v is not None}
+    if os.environ.get(OUTPUT_DIR_ENV):
+        overrides = {"output_dir": os.environ[OUTPUT_DIR_ENV], **overrides}
+    for flag, value in overrides.items():
+        section, key = FLAG_KEYS[flag]
+        cp.read_dict({section: {key: value}})
+    if "m" in overrides:
+        cp.read_dict({"nystrom": {"mode": "fixed"}})
 
-    try:
-        kernel = KernelSpec(
-            family=_get(cp, "kernel", "family", str, "gaussian"),
-            bandwidth=_get(cp, "kernel", "bandwidth", float, 1.0),
-            degree=_get(cp, "kernel", "degree", int, 2),
-            offset=_get(cp, "kernel", "offset", float, 0.0),
-            normalize=_get(cp, "kernel", "normalize", bool, False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[kernel] {exc}") from exc
+    sections = get_type_hints(ExperimentConfig)
+    for name in cp.sections():
+        if name not in sections:
+            raise ConfigError(f"unknown section [{name}]")
+    if not cp.has_option("run", "master_seed"):
+        raise ConfigError("[run] master_seed is required (no wall-clock default)")
+    cfg = ExperimentConfig(**{name: _section(cp, name, cls) for name, cls in sections.items()})
 
-    data = DataConfig(
-        source=_get(cp, "data", "source", str, "synthetic"),
-        inline=_get(cp, "data", "inline", str, ""),
-        path=_get(cp, "data", "path", str, ""),
-        generator=_get(cp, "data", "generator", str, "two_blobs"),
-        n=_get(cp, "data", "n", int, 64),
-        separation=_get(cp, "data", "separation", float, 8.0),
-        spread=_get(cp, "data", "spread", float, 1.0),
-        dim=_get(cp, "data", "dim", int, 2),
-    )
-    cluster = ClusterConfig(
-        k=_get(cp, "cluster", "k", int, 2),
-        method=_get(cp, "cluster", "method", str, "lloyd"),
-        restarts=_get(cp, "cluster", "restarts", int, 10),
-        rounds=_get(cp, "cluster", "rounds", int, None),
-        max_iter=_get(cp, "cluster", "max_iter", int, 300),
-        rel_tol=_get(cp, "cluster", "rel_tol", float, 1e-9),
-    )
-    nystrom = NystromConfig(
-        m=_get(cp, "nystrom", "m", int, None),
-        mode=_get(cp, "nystrom", "mode", str, "fixed"),
-        c_scale=_get(cp, "nystrom", "c_scale", float, 1.0),
-        delta=_get(cp, "nystrom", "delta", float, 0.1),
-        jitter=_get(cp, "nystrom", "jitter", float, 0.0),
-    )
-    lab = LabConfig(
-        trials=_get(cp, "lab", "trials", int, 10_000),
-        grid=_get(cp, "lab", "grid", _grid_list, LabConfig().grid),
-    )
-    sweep = SweepConfig(
-        n_values=_get(cp, "sweep", "n_values", _int_list, SweepConfig().n_values),
-        k_values=_get(cp, "sweep", "k_values", _int_list, SweepConfig().k_values),
-        methods=_get(cp, "sweep", "methods", _str_list, SweepConfig().methods),
-        reps=_get(cp, "sweep", "reps", int, 50),
-        m_mode=_get(cp, "sweep", "m_mode", str, "general"),
-        m_fixed=_get(cp, "sweep", "m_fixed", int, None),
-        benchmark_seed=_get(cp, "sweep", "benchmark_seed", int, None),
-        benchmark_spread=_get(cp, "sweep", "benchmark_spread", float, None),
-    )
-
-    if "seed" in overrides:
-        master_seed = int(overrides["seed"])
-    else:
-        if not cp.has_option("run", "master_seed"):
-            raise ConfigError("[run] master_seed is required (no wall-clock default)")
-        master_seed = _get(cp, "run", "master_seed", int, None)
-
-    out = overrides.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or _get(
-        cp, "run", "output_dir", str, "out"
-    )
-    # runs are single-threaded; the key stays accepted for existing configs
-    workers = _get(cp, "run", "workers", int, 1)
-    if workers != 1:
-        raise ConfigError(f"[run] workers must be 1, got {workers}")
-
-    for key in ("method", "m", "k", "trials", "reps"):
-        if overrides.get(key) is not None:
-            if key == "method":
-                cluster.method = str(overrides[key])
-            elif key == "m":
-                nystrom.m = int(overrides[key])
-                nystrom.mode = "fixed"
-            elif key == "k":
-                cluster.k = int(overrides[key])
-            elif key == "trials":
-                lab.trials = int(overrides[key])
-            elif key == "reps":
-                sweep.reps = int(overrides[key])
-    if overrides.get("methods"):
-        sweep.methods = _str_list(overrides["methods"])
-
-    cfg = ExperimentConfig(
-        kernel=kernel,
-        data=data,
-        cluster=cluster,
-        nystrom=nystrom,
-        lab=lab,
-        sweep=sweep,
-        master_seed=master_seed,
-        output_dir=Path(out),
-    )
-
-    # parse-time invariants
     if cfg.data.source == "csv" and not Path(cfg.data.path).is_file():
         raise ConfigError(f"data file not found: {cfg.data.path}")
-    if cfg.cluster.k < 1:
-        raise ConfigError(f"[cluster] k must be >= 1, got {cfg.cluster.k}")
-    if cfg.cluster.restarts < 1:
-        raise ConfigError(f"[cluster] restarts must be >= 1, got {cfg.cluster.restarts}")
-    if cfg.cluster.rounds is not None and cfg.cluster.rounds < 0:
-        raise ConfigError(f"[cluster] rounds must be >= 0, got {cfg.cluster.rounds}")
-    if cfg.cluster.max_iter < 1:
-        raise ConfigError(f"[cluster] max_iter must be >= 1, got {cfg.cluster.max_iter}")
-    if not cfg.cluster.rel_tol >= 0:  # NaN too
-        raise ConfigError(f"[cluster] rel_tol must be >= 0, got {cfg.cluster.rel_tol}")
-    if not cfg.nystrom.c_scale > 0:
-        raise ConfigError(f"[nystrom] c_scale must be positive, got {cfg.nystrom.c_scale}")
-    if not cfg.lab.grid:
-        raise ConfigError("[lab] grid must be nonempty")
-    if not cfg.sweep.n_values or not cfg.sweep.k_values or not cfg.sweep.methods:
-        raise ConfigError("[sweep] grids and methods must be nonempty")
+    k_max, n_min = max(cfg.sweep.k_values), min(cfg.sweep.n_values)
+    if k_max > n_min:
+        raise ConfigError(f"[sweep] k_values must not exceed min n_values {n_min}, got {k_max}")
     return cfg

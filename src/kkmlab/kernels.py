@@ -57,7 +57,7 @@ class KernelSpec:
     the assumption stays auditable.
     """
 
-    family: str
+    family: str = "gaussian"
     bandwidth: float = 1.0
     degree: int = 2
     offset: float = 0.0

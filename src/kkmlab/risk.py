@@ -171,10 +171,9 @@ class CellRecord:
 
 @dataclass
 class RiskReport:
-    """Grid of cell records plus optionally fitted scaling exponents."""
+    """Grid of cell records."""
 
     cells: list[CellRecord] = field(default_factory=list)
-    fitted_exponents: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     CSV_COLUMNS = (
         "n,k,method,m_used,reps,mean_empirical_risk,mean_population_risk,"

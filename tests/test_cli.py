@@ -348,10 +348,58 @@ class TestConfigValidation:
         "command", [["cluster", "--method", "nystrom"], ["nystrom-embed"], ["spectrum"]]
     )
     def test_nonpositive_c_scale_exits_two(self, config_file, capsys, command):
-        body = BASE_CONFIG.replace("mode = fixed", "mode = general\nc_scale = 0")
+        body = BASE_CONFIG.replace("m = 6\nmode = fixed", "m = 6\nmode = general\nc_scale = 0")
         cfg, _ = config_file(body=body)
         assert main([*command, "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "[nystrom] c_scale")
+
+    @pytest.mark.parametrize(
+        "old, new, command, word",
+        [("grid = 2x4, 2x8, 4x8", "grid = 0x4", "rad-check", "[lab] grid"),
+         ("trials = 4000\ngrid = 2x4, 2x8, 4x8", "trials = 0\ngrid = 2x22", "rad-check",
+          "[lab] trials"),
+         ("k_values = 2", "k_values = 0", "risk-scan", "[sweep] k_values"),
+         ("n_values = 16, 24, 32", "n_values = 16, 0", "risk-scan", "[sweep] n_values"),
+         ("k_values = 2", "k_values = 20", "risk-scan", "[sweep] k_values"),
+         ("reps = 3", "reps = 0", "risk-scan", "[sweep] reps"),
+         ("n = 24", "n = 0", "cluster", "[data] n"),
+         ("dim = 2", "dim = 0", "cluster", "[data] dim"),
+         ("m = 6\nmode = fixed", "m = 6\nmode = fixed\njitter = -1", "nystrom-embed",
+          "[nystrom] jitter")],
+    )
+    def test_out_of_range_setting_exits_two(self, config_file, capsys, old, new, command, word):
+        # each used to end in a traceback with exit 1, a report of NaNs with
+        # exit 0 (reps = 0), or an optimum search that ran for minutes (k > n)
+        cfg, _ = config_file(body=BASE_CONFIG.replace(old, new))
+        assert main([command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+
+    @pytest.mark.parametrize(
+        "command, word", [(["rad-check", "--trials", "0"], "[lab] trials"),
+                          (["risk-scan", "--reps", "-1"], "[sweep] reps")],
+    )
+    def test_out_of_range_flag_exits_two(self, config_file, capsys, command, word):
+        cfg, _ = config_file()
+        assert main([*command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+
+    @pytest.mark.parametrize(
+        "old, new, word",
+        [("restarts = 5", "restarts = 5\nkk = 3", "[cluster] unknown key 'kk'"),
+         ("[cluster]", "[clusterr]", "unknown section [clusterr]"),
+         ("[run]", "[DEFAULT]\nk = 3\n\n[run]", "unknown section [DEFAULT]")],
+    )
+    def test_unknown_section_or_key_exits_two(self, config_file, capsys, old, new, word):
+        # used to be ignored, so the run went on with the defaults and exit 0
+        cfg, _ = config_file(body=BASE_CONFIG.replace(old, new))
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+
+    def test_percent_sign_is_literal(self, config_file, capsys):
+        # used to end in an InterpolationSyntaxError traceback with exit 1
+        cfg, _ = config_file(body=BASE_CONFIG.replace("bandwidth = 2.0", "bandwidth = 2%"))
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[kernel] bandwidth: cannot parse '2%'")
 
     def test_ragged_points_csv_exits_two(self, config_file, capsys, tmp_path):
         data = tmp_path / "pts.csv"
