@@ -6,7 +6,6 @@ from .kernels import (
     GramMatrix,
     Spectrum,
     gram_matrix,
-    kernel_dist_sq,
     spectrum_of,
     effective_dimension,
     eigendecay_xi_bound,

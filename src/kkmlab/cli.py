@@ -79,7 +79,7 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
             max_iter=cfg.cluster.max_iter, rel_tol=cfg.cluster.rel_tol,
         )
         extra_lines.append(f"swaps_accepted: {swaps}")
-    elif method == "nystrom":
+    else:  # nystrom
         ny = cfg.nystrom
         m = _landmark_policy("nystrom", ny.mode, ny.m, ny).landmarks_for(K, K.n, k)
         rng = np.random.default_rng([cfg.run.master_seed, 0xC3])
@@ -94,8 +94,6 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
         trace = replace(ztrace, per_iteration_cost=ztrace.per_iteration_cost + resid)
         extra_lines.append(f"m: {m}")
         extra_lines.append(f"cost_projected: {fmt12(ztrace.per_iteration_cost[-1])}")
-    else:
-        raise ConfigError(f"unknown cluster method {method!r}")
     final_cost = float(trace.per_iteration_cost[-1])
 
     # labels are small integers, which "%.12g" writes as "%d" does

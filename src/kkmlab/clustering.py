@@ -205,8 +205,9 @@ def kernel_lloyd(
 
 def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None):
     """Yield the exact-k completions of the prefixes ``rows`` in order, 512
-    prefixes at a time (depth-first, so the order stays lexicographic), each
-    as ``(rows, sums)``.
+    prefixes at a time (depth-first, so the order stays lexicographic).  The
+    leaves come as ``(prefix, r, b, sums)``: leaf i is the row ``prefix[r[i]]``
+    followed by block ``b[i]``, so a caller builds only the rows it keeps.
 
     Without a Gram ``K`` the sums stay None.  With one, ``sums = (T, sizes,
     A)`` carries each prefix's block pair sums T (B, k), block sizes (B, k)
@@ -214,13 +215,10 @@ def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None):
     labelled, so placing point p in block b costs O(n): T_b += 2 A_b[p] + K_pp,
     A_b += K_p.  Leaves carry no A."""
     p = rows.shape[1]
-    if p == n:
-        yield rows, sums
-        return
     blocks = np.arange(k)
     for s in range(0, len(rows), 512):  # small slices stay in cache
         prefix = rows[s : s + 512]
-        used = prefix.max(axis=1, keepdims=True) + 1
+        used = prefix.max(axis=1, keepdims=True, initial=-1) + 1
         # a child opens at most one new block and leaves room for the rest
         fits = (blocks <= used) & (n - p > k - np.maximum(used, blocks + 1))
         r, b = np.nonzero(fits)  # row-major: children follow their parents' order
@@ -235,7 +233,10 @@ def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None):
             if A is not None:
                 A[i, b] += K[p, p + 1 :]
             child = (T, sizes, A)
-        yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k, K, child)
+        if p + 1 == n:
+            yield prefix, r, b, child
+        else:
+            yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k, K, child)
 
 
 def iter_label_chunks(n: int, k: int, chunk: int = 4096):
@@ -246,8 +247,8 @@ def iter_label_chunks(n: int, k: int, chunk: int = 4096):
     if not 1 <= k <= n:
         return
     buf = np.empty((0, n), dtype=np.int64)
-    for rows, _ in _grow_partitions(np.zeros((1, 1), dtype=np.int64), n, k):
-        buf = np.concatenate((buf, rows))
+    for prefix, r, b, _ in _grow_partitions(np.zeros((1, 0), dtype=np.int64), n, k):
+        buf = np.concatenate((buf, np.column_stack((prefix[r], b))))
         full = len(buf) - len(buf) % chunk
         yield from (buf[s : s + chunk] for s in range(0, full, chunk))
         buf = buf[full:]
@@ -257,16 +258,16 @@ def iter_label_chunks(n: int, k: int, chunk: int = 4096):
 
 def _scored_partitions(K: GramMatrix, k: int):
     """Every partition of ``K``'s points into exactly k nonempty blocks, in
-    ``iter_label_chunks``'s order and in blocks of rows, with each row's cost
-    from the pair sums carried down the prefix tree: O(k) a partition, and
-    within ``kernels._cost_margin(K)`` of ``_chunk_costs``'s cost."""
-    n, E = K.n, K.entries
-    T, sizes, A = np.zeros((1, k)), np.zeros((1, k), dtype=np.int64), np.zeros((1, k, n - 1))
-    T[0, 0], sizes[0, 0], A[0, 0] = E[0, 0], 1, E[0, 1:]  # the prefix "point 0 in block 0"
+    ``iter_label_chunks``'s order, as ``_grow_partitions``'s leaf levels
+    ``(prefix, r, b)`` with each leaf's cost from the pair sums carried down
+    the prefix tree: O(k) a partition, and within ``kernels._cost_margin(K)``
+    of ``_chunk_costs``'s cost."""
+    n = K.n
+    sums = (np.zeros((1, k)), np.zeros((1, k), dtype=np.int64), np.zeros((1, k, n)))
     diag_sum = float(np.sum(K.diag))
-    root = np.zeros((1, 1), dtype=np.int64)
-    for rows, (T, sizes, _) in _grow_partitions(root, n, k, E, (T, sizes, A)):
-        yield rows, (diag_sum - np.sum(T / sizes, axis=1)) / n
+    root = np.zeros((1, 0), dtype=np.int64)
+    for prefix, r, b, (T, sizes, _) in _grow_partitions(root, n, k, K.entries, sums):
+        yield prefix, r, b, (diag_sum - np.sum(T / sizes, axis=1)) / n
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:
@@ -314,11 +315,12 @@ def brute_force_erm(K: GramMatrix, k: int):
     best_fast = np.inf
     best_cost = np.inf
     best_labels = None
-    for rows, fast in _scored_partitions(K, k):
+    for prefix, r, b, fast in _scored_partitions(K, k):
         best_fast = min(best_fast, float(fast.min()))
-        near = rows[fast <= best_fast + slack]
-        if not len(near):
+        keep = fast <= best_fast + slack
+        if not keep.any():
             continue
+        near = np.column_stack((prefix[r[keep]], b[keep]))
         costs = _chunk_costs(K.entries, diag_sum, near, k)
         idx = int(np.argmin(costs))
         if costs[idx] < best_cost:

@@ -11,6 +11,7 @@ list parser and a range rule.  Unknown sections and keys are errors.
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelSpec
+from .risk import MPolicy
 
 __all__ = ["ExperimentConfig", "load_config", "OUTPUT_DIR_ENV", "FLAG_KEYS"]
 
@@ -54,6 +56,10 @@ def _key(default, rule=None, parse=None):
     return field(default=default, metadata=meta)
 
 
+def _one_of(*allowed):
+    return (lambda v: v in allowed, f"one of {', '.join(allowed)}")
+
+
 _AT_LEAST_0 = (lambda v: v >= 0, ">= 0")  # NaN fails too
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _ALL_AT_LEAST_1 = (lambda v: v and min(v) >= 1, "nonempty with every entry >= 1")
@@ -61,10 +67,10 @@ _ALL_AT_LEAST_1 = (lambda v: v and min(v) >= 1, "nonempty with every entry >= 1"
 
 @dataclass
 class DataConfig:
-    source: str = "synthetic"  # inline | csv | synthetic
+    source: str = _key("synthetic", _one_of("inline", "csv", "synthetic"))
     inline: str = ""
     path: str = ""
-    generator: str = "two_blobs"
+    generator: str = _key("two_blobs", _one_of("two_blobs"))
     n: int = _key(64, _AT_LEAST_1)
     separation: float = 8.0
     spread: float = 1.0
@@ -74,7 +80,7 @@ class DataConfig:
 @dataclass
 class ClusterConfig:
     k: int = _key(2, _AT_LEAST_1)
-    method: str = "lloyd"  # lloyd | approx | nystrom
+    method: str = _key("lloyd", _one_of("lloyd", "approx", "nystrom"))
     restarts: int = _key(10, _AT_LEAST_1)
     rounds: int | None = _key(None, _AT_LEAST_0)
     max_iter: int = _key(300, _AT_LEAST_1)
@@ -84,7 +90,7 @@ class ClusterConfig:
 @dataclass
 class NystromConfig:
     m: int | None = None
-    mode: str = "fixed"  # fixed | general | eigendecay | linear_k
+    mode: str = _key("fixed", _one_of(*MPolicy.MODES))
     c_scale: float = _key(1.0, (lambda v: v > 0, "positive"))
     delta: float = 0.1
     jitter: float = _key(0.0, _AT_LEAST_0)
@@ -106,7 +112,7 @@ class SweepConfig:
     k_values: list[int] = _key([2], _ALL_AT_LEAST_1, _int_list)
     methods: list[str] = _key(["exact", "nystrom"], (bool, "nonempty"), _str_list)
     reps: int = _key(50, _AT_LEAST_1)
-    m_mode: str = "general"
+    m_mode: str = _key("general", _one_of(*MPolicy.MODES))
     m_fixed: int | None = None
     benchmark_seed: int | None = None
     benchmark_spread: float | None = None
@@ -148,14 +154,10 @@ class ExperimentConfig:
             return np.asarray(pts, dtype=float)
         if d.source == "csv":
             return _read_points_csv(d.path)
-        if d.source == "synthetic":
-            if d.generator == "two_blobs":
-                from .datasets import two_blob_points
+        from .datasets import two_blob_points  # the one synthetic generator
 
-                rng = np.random.default_rng([self.run.master_seed, 0xDA7A])
-                return two_blob_points(d.n, d.separation, d.spread, d.dim, rng)
-            raise ConfigError(f"unknown synthetic generator {d.generator!r}")
-        raise ConfigError(f"unknown data source {d.source!r}")
+        rng = np.random.default_rng([self.run.master_seed, 0xDA7A])
+        return two_blob_points(d.n, d.separation, d.spread, d.dim, rng)
 
 
 def _read_points_csv(path: str) -> np.ndarray:
@@ -181,15 +183,19 @@ def _read_points_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+_hints = functools.cache(get_type_hints)  # the section classes never change
+
+
 def _cast(hint):
-    """The cast an annotation names; ``int | None`` casts as ``int``."""
+    """The cast an annotation names; ``int | None`` casts as ``int``, and a
+    bool reads only 1/true/yes/on and 0/false/no/off (a KeyError otherwise)."""
     t = next((a for a in get_args(hint) if a is not type(None)), hint)
-    return (lambda raw: raw.lower() in ("1", "true", "yes", "on")) if t is bool else t
+    return (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]) if t is bool else t
 
 
 def _section(cp: configparser.ConfigParser, name: str, cls):
     """Build one section from the keys the file gives; the defaults fill the rest."""
-    known, hints = {f.name: f for f in fields(cls)}, get_type_hints(cls)
+    known, hints = {f.name: f for f in fields(cls)}, _hints(cls)
     values = {}
     for key, raw in (cp[name] if cp.has_section(name) else {}).items():
         if key not in known:
@@ -197,7 +203,7 @@ def _section(cp: configparser.ConfigParser, name: str, cls):
         meta, raw = known[key].metadata, raw.strip()
         try:
             values[key] = value = (meta.get("parse") or _cast(hints[key]))(raw)
-        except ValueError:
+        except (ValueError, KeyError):
             raise ConfigError(f"[{name}] {key}: cannot parse {raw!r}") from None
         check, wording = meta.get("rule") or (None, None)
         if check and not check(value):
@@ -234,7 +240,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if "m" in overrides:
         cp.read_dict({"nystrom": {"mode": "fixed"}})
 
-    sections = get_type_hints(ExperimentConfig)
+    sections = _hints(ExperimentConfig)
     for name in cp.sections():
         if name not in sections:
             raise ConfigError(f"unknown section [{name}]")

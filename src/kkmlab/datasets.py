@@ -6,7 +6,7 @@ import numpy as np
 
 from ._common import ensure_rng
 
-__all__ = ["two_blob_points", "blob_labels"]
+__all__ = ["two_blob_points"]
 
 
 def two_blob_points(
@@ -29,10 +29,3 @@ def two_blob_points(
     pts[:n_pos] += offs
     pts[n_pos:] -= offs
     return pts
-
-
-def blob_labels(n: int) -> np.ndarray:
-    """Ground-truth membership for :func:`two_blob_points` output."""
-    labels = np.ones(n, dtype=np.int64)
-    labels[: (n + 1) // 2] = 0
-    return labels

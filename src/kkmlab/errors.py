@@ -17,10 +17,6 @@ class NormalizationViolated(KKMLabError):
     """A kernel with the unit-norm flag saw a point with feature norm > 1."""
 
 
-class IndexOutOfRange(KKMLabError, IndexError):
-    """Point or cluster index outside the valid range."""
-
-
 class SpectralFailure(KKMLabError):
     """Eigenvalue decomposition did not converge."""
 

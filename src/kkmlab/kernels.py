@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     InvalidDecayParams,
     NonFiniteInput,
     NormalizationViolated,
@@ -29,7 +28,6 @@ __all__ = [
     "GramMatrix",
     "Spectrum",
     "gram_matrix",
-    "kernel_dist_sq",
     "spectrum_of",
     "effective_dimension",
     "capped_effective_dimension",
@@ -65,7 +63,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise ValueError(f"family must be one of {', '.join(_FAMILIES)}, got {self.family}")
         if self.family == "gaussian" and not self.bandwidth > 0:
             raise ValueError("gaussian bandwidth must be positive")
         if self.family == "polynomial":
@@ -73,17 +71,6 @@ class KernelSpec:
                 raise ValueError("polynomial degree must be an integer >= 1")
             if self.offset < 0:
                 raise ValueError("polynomial offset must be nonnegative")
-
-    def __call__(self, x, y) -> float:
-        """Evaluate kappa(x, y) on a single pair of points."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.family == "gaussian":
-            d2 = float(np.sum((x - y) ** 2))
-            return math.exp(-d2 / (2.0 * self.bandwidth**2))
-        if self.family == "linear":
-            return float(np.dot(x, y))
-        return float((np.dot(x, y) + self.offset) ** self.degree)
 
 
 @dataclass(frozen=True)
@@ -235,15 +222,6 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
                 "normalization flag set but some kappa(x, x) > 1"
             )
     return GramMatrix._frozen(K, np.unique(X, axis=0, return_inverse=True)[1])
-
-
-def kernel_dist_sq(K: GramMatrix, i: int, j: int) -> float:
-    """Squared feature-space distance between points i and j, clamped at 0."""
-    n = K.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"indices ({i}, {j}) outside [0, {n})")
-    val = K.diag[i] - 2.0 * K.entries[i, j] + K.diag[j]
-    return max(float(val), 0.0)
 
 
 def dists_to_points(K: GramMatrix, idx) -> np.ndarray:

@@ -97,6 +97,36 @@ def _sign_block(start: int, stop: int, n: int) -> np.ndarray:
     return (2 * bits - 1).astype(float)
 
 
+def _pattern_sum(data: np.ndarray, count: int, values) -> float:
+    """Sum over the codes [0, count), block by block, of ``values`` on their
+    sign rows; a pattern's value may depend only on how many plus signs each
+    group of identical data rows gets.  When some row repeats and at most
+    ``_BLOCK`` such count vectors exist, ``values`` runs once, on one sign row
+    per count vector in mixed-radix order, and each block gathers from that
+    table by the popcounts of its codes under the groups' bit masks: the block
+    path's values in its order, so every bit of the sum is kept where a value
+    is exact in the counts (integer partial sums, as on basis vectors)."""
+    n = data.shape[0]
+    _, group, sizes = np.unique(data, axis=0, return_inverse=True, return_counts=True)
+    strides = np.cumprod(np.concatenate(([1], sizes + 1)))
+    total = 0.0
+    if len(sizes) == n or strides[-1] > _BLOCK:
+        for start in range(0, count, _BLOCK):
+            total += float(values(_sign_block(start, min(start + _BLOCK, count), n)).sum())
+        return total
+    rank = np.tril(group[:, None] == group[None, :], -1).sum(axis=1)  # within the group
+    plus = np.arange(strides[-1])[:, None] // strides[:-1] % (sizes + 1)
+    table = values(np.where(rank < plus[:, group], 1.0, -1.0))
+    masks = (group == np.arange(len(sizes))[:, None]) @ (1 << np.arange(n, dtype=np.int64))
+    # blocks start at multiples of _BLOCK: a code's popcount under a mask is
+    # its block start's plus its low bits'
+    low = np.bitwise_count(np.arange(min(count, _BLOCK))[:, None] & masks) @ strides[:-1]
+    for start in range(0, count, _BLOCK):
+        offset = np.bitwise_count(start & masks) @ strides[:-1]
+        total += float(table[low[: count - start] + offset].sum())
+    return total
+
+
 def signed_scatter_supremum(data: np.ndarray, sigma: np.ndarray) -> float:
     """Exact sup over unit-ball centers c of sum_j sigma_j ||phi_j - c||^2.
 
@@ -155,11 +185,8 @@ def coordinate_rad(data, trials: int = 10_000, rng=None, exact: bool | None = No
     if exact:
         if 2**n > _EXACT_PATTERN_LIMIT:
             raise EnumerationTooLarge(f"2^{n} sign patterns exceed the exact limit")
-        total = 0.0
         count = 2**n
-        for start in range(0, count, _BLOCK):
-            signs = _sign_block(start, min(start + _BLOCK, count), n)
-            total += float(_batch_suprema(data, signs).sum())
+        total = _pattern_sum(data, count, lambda signs: _batch_suprema(data, signs))
         return RadEstimate(value=total / count, std_error=0.0, trials=count, exact=True)
 
     if trials < 1:
@@ -220,13 +247,12 @@ def finite_class_rad(
             raise EnumerationTooLarge(
                 f"exact enumeration refused for n={n}, classes={V.shape[0]}"
             )
-        half = 2 ** (n - 1)
-        total = 0.0
-        for start in range(0, half, _BLOCK):
-            # patterns with sigma_n = -1; the complement supplies the rest
-            signs = _sign_block(start, min(start + _BLOCK, half), n)
+        def pair_values(signs):
             U = V @ signs.T
-            total += float((U.max(axis=0) + (-U).max(axis=0)).sum())
+            return U.max(axis=0) + (-U).max(axis=0)
+
+        # patterns with sigma_n = -1; the complement supplies the rest
+        total = _pattern_sum(data, 2 ** (n - 1), pair_values)
         return RadEstimate(value=total / 2**n, std_error=0.0, trials=2**n, exact=True)
 
     if trials < 1:

@@ -127,13 +127,15 @@ class MPolicy:
     """How the landmark count is chosen per cell: a fixed m, or one of the
     landmark_size modes evaluated on each rep's sample."""
 
+    MODES = ("fixed", "general", "eigendecay", "linear_k")
+
     mode: str = "general"
     m: int | None = None
     c_scale: float = 1.0
     delta: float = 0.1
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "general", "eigendecay", "linear_k"):
+        if self.mode not in self.MODES:
             raise ValueError(f"unknown m policy mode {self.mode!r}")
         if self.mode == "fixed" and (self.m is None or self.m < 1):
             raise ValueError(f"fixed m policy needs m >= 1, got {self.m}")

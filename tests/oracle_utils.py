@@ -1,11 +1,71 @@
 """Shared test oracles, kept independent of the library's own computations."""
 
+import math
+
 import numpy as np
 
 from kkmlab.clustering import Assignment, _chunk_costs, iter_label_chunks
 from kkmlab.errors import InvariantViolated, NonFiniteInput, NormalizationViolated
 from kkmlab.kernels import GramMatrix, dists_to_points
+from kkmlab.rademacher import _BLOCK, _batch_suprema, _min_dist_table, _sign_block
 from kkmlab.seeding import _result_for_centers
+
+
+def kernel_value(spec, x, y) -> float:
+    """kappa(x, y) on a single pair of points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if spec.family == "gaussian":
+        d2 = float(np.sum((x - y) ** 2))
+        return math.exp(-d2 / (2.0 * spec.bandwidth**2))
+    if spec.family == "linear":
+        return float(np.dot(x, y))
+    return float((np.dot(x, y) + spec.offset) ** spec.degree)
+
+
+def kernel_dist_sq(K, i: int, j: int) -> float:
+    """Squared feature-space distance between points i and j, clamped at 0."""
+    n = K.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"indices ({i}, {j}) outside [0, {n})")
+    val = K.diag[i] - 2.0 * K.entries[i, j] + K.diag[j]
+    return max(float(val), 0.0)
+
+
+def blob_labels(n: int) -> np.ndarray:
+    """Ground-truth membership for ``two_blob_points`` output."""
+    labels = np.ones(n, dtype=np.int64)
+    labels[: (n + 1) // 2] = 0
+    return labels
+
+
+def reference_coordinate_rad(data) -> float:
+    """Every sign pattern's supremum evaluated block by block: the reference
+    for the exact ``coordinate_rad``."""
+    data = np.asarray(data, dtype=float)
+    n = data.shape[0]
+    total = 0.0
+    count = 2**n
+    for start in range(0, count, _BLOCK):
+        signs = _sign_block(start, min(start + _BLOCK, count), n)
+        total += float(_batch_suprema(data, signs).sum())
+    return total / count
+
+
+def reference_finite_class_rad(data, center_sets) -> float:
+    """Every complementary pair of sign patterns evaluated block by block: the
+    reference for the exact ``finite_class_rad``."""
+    data = np.asarray(data, dtype=float)
+    n = data.shape[0]
+    V = _min_dist_table(data, center_sets)
+    half = 2 ** (n - 1)
+    total = 0.0
+    for start in range(0, half, _BLOCK):
+        # patterns with sigma_n = -1; the complement supplies the rest
+        signs = _sign_block(start, min(start + _BLOCK, half), n)
+        U = V @ signs.T
+        total += float((U.max(axis=0) + (-U).max(axis=0)).sum())
+    return total / 2**n
 
 
 def _labels_cost(K, labels, k):

@@ -395,6 +395,23 @@ class TestConfigValidation:
         assert main(["cluster", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, word)
 
+    @pytest.mark.parametrize(
+        "old, new, word",
+        [("method = lloyd", "method = bogus", "[cluster] method"),
+         ("source = synthetic", "source = nowhere", "[data] source"),
+         ("generator = two_blobs", "generator = three_blobs", "[data] generator"),
+         ("m = 6\nmode = fixed", "m = 6\nmode = bogus", "[nystrom] mode"),
+         ("m_mode = fixed", "m_mode = bogus", "[sweep] m_mode"),
+         ("family = gaussian", "family = cosine", "[kernel] family"),
+         ("bandwidth = 2.0", "bandwidth = 2.0\nnormalize = ture", "[kernel] normalize")],
+    )
+    def test_unknown_enumerated_value_exits_two(self, config_file, capsys, old, new, word):
+        # used to load, so rad-check, which reads none of these keys, exited 0
+        # (and normalize = ture read as False)
+        cfg, _ = config_file(body=BASE_CONFIG.replace(old, new))
+        assert main(["rad-check", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+
     def test_percent_sign_is_literal(self, config_file, capsys):
         # used to end in an InterpolationSyntaxError traceback with exit 1
         cfg, _ = config_file(body=BASE_CONFIG.replace("bandwidth = 2.0", "bandwidth = 2%"))

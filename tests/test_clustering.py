@@ -15,7 +15,7 @@ from kkmlab import (
 )
 import kkmlab.clustering as clustering_module
 from kkmlab.clustering import iter_label_chunks
-from kkmlab.datasets import blob_labels, two_blob_points
+from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
     EmptyCluster,
     InstanceTooLarge,
@@ -25,6 +25,7 @@ from kkmlab.errors import (
 )
 from kkmlab.kernels import GramMatrix, _cost_margin
 from oracle_utils import (
+    blob_labels,
     reference_brute_force_erm,
     reference_chunk_costs,
     reference_label_chunks,
@@ -375,7 +376,8 @@ class TestScreenedErm:
     def test_screen_costs_within_margin(self, n, k, spec):
         K = gram_matrix(spec, _screen_points(n, "plain", 7 * n + k))
         diag_sum = float(np.sum(K.diag))
-        screened = list(clustering_module._scored_partitions(K, k))
+        screened = [(np.column_stack((prefix[r], b)), fast)
+                    for prefix, r, b, fast in clustering_module._scored_partitions(K, k)]
         rows = np.concatenate([r for r, _ in screened])
         np.testing.assert_array_equal(rows, np.concatenate(list(iter_label_chunks(n, k))))
         for r, fast in screened:

@@ -48,6 +48,14 @@ def test_flag_beats_environment_beats_file(tmp_path, monkeypatch):
     assert cfg.nystrom.m == 7 and cfg.nystrom.mode == "fixed" and cfg.cluster.k == 2
 
 
+@pytest.mark.parametrize("raw, value", [("1", True), ("True", True), ("yes", True), ("ON", True),
+                                        ("0", False), ("false", False), ("No", False), ("off", False)])
+def test_bool_reads_its_eight_words(tmp_path, raw, value):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"[kernel]\nnormalize = {raw}\n\n[run]\nmaster_seed = 3\n", encoding="utf-8")
+    assert load_config(path).kernel.normalize is value
+
+
 def test_every_flag_sets_a_schema_key():
     for section, key in FLAG_KEYS.values():
         assert key in SCHEMA[section]

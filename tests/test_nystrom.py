@@ -17,7 +17,7 @@ from kkmlab import (
     sample_landmarks_uniform,
 )
 from kkmlab.clustering import iter_label_chunks
-from kkmlab.datasets import blob_labels, two_blob_points
+from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
     InvalidDelta,
     MissingXi,
@@ -27,6 +27,7 @@ from kkmlab.errors import (
 import kkmlab.clustering as clustering_module
 import kkmlab.nystrom as nystrom_module
 from kkmlab.nystrom import euclidean_kmeanspp_labels, euclidean_lloyd
+from oracle_utils import blob_labels
 
 
 def restricted_optimum(K, L, k):

@@ -17,7 +17,7 @@ from kkmlab import (
     signed_scatter_supremum,
     theorem_bound_value,
 )
-from oracle_utils import grid_supremum
+from oracle_utils import grid_supremum, reference_coordinate_rad, reference_finite_class_rad
 
 from kkmlab.errors import (
     EnumerationTooLarge,
@@ -285,3 +285,56 @@ class TestSignBlocks:
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0"
+
+
+def _repeated_rows(rng, n):
+    """n points in the unit ball, some of them repeated, in shuffled order."""
+    distinct = rng.normal(size=(int(rng.integers(1, n)), int(rng.integers(1, 5))))
+    distinct /= np.maximum(np.linalg.norm(distinct, axis=1, keepdims=True), 1.0)
+    group = rng.permutation(np.resize(np.arange(len(distinct)), n))
+    return distinct[group]
+
+
+def _block_path_ran(start, stop, n):
+    """Stands in for ``_sign_block`` where only the grouped path may run."""
+    raise AssertionError("sign rows were built block by block")
+
+
+class TestGroupedSigns:
+    @pytest.mark.parametrize(
+        "k, n", [(2, 20), (4, 20), (5, 20), (2, 4), (2, 8), (4, 8), (4, 16)],
+    )  # the exact cells of the enumeration benchmark's and the demo's grids
+    def test_construction_cells_keep_every_bit(self, monkeypatch, k, n):
+        inst = lower_bound_construction(k, n)
+        sets = inst.center_sets()
+        want = (reference_coordinate_rad(inst.data), reference_finite_class_rad(inst.data, sets))
+        monkeypatch.setattr(rademacher_module, "_sign_block", _block_path_ran)
+        assert coordinate_rad(inst.data).value.hex() == want[0].hex()
+        assert finite_class_rad(inst.data, sets, exact=True).value.hex() == want[1].hex()
+
+    def test_random_repeated_rows_agree_with_block_path(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(3, 15))
+            data = _repeated_rows(rng, n)
+            sets = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 4)), data.shape[1]))
+            want = (reference_coordinate_rad(data), reference_finite_class_rad(data, sets))
+            with monkeypatch.context() as m:
+                m.setattr(rademacher_module, "_sign_block", _block_path_ran)
+                got = (coordinate_rad(data).value, finite_class_rad(data, sets, exact=True).value)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (n, g, w)
+
+    def test_single_member_class_on_repeated_rows_is_exactly_zero(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        data = _repeated_rows(rng, 12)
+        monkeypatch.setattr(rademacher_module, "_sign_block", _block_path_ran)
+        est = finite_class_rad(data, rng.normal(size=(1, 2, data.shape[1])), exact=True)
+        assert est.value == 0.0 and est.exact and est.trials == 2**12
+
+    def test_distinct_rows_keep_the_block_path(self):
+        rng = np.random.default_rng(14)
+        data = rng.normal(size=(9, 2)) / 4.0
+        sets = rng.normal(size=(3, 2, 2))
+        assert coordinate_rad(data).value == reference_coordinate_rad(data)
+        assert finite_class_rad(data, sets, exact=True).value == reference_finite_class_rad(data, sets)

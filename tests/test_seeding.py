@@ -14,11 +14,11 @@ from kkmlab import (
     local_search_improve,
 )
 from kkmlab import seeding
-from kkmlab.datasets import blob_labels, two_blob_points
+from kkmlab.datasets import two_blob_points
 from kkmlab.errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from kkmlab.kernels import GramMatrix, dists_to_points
 from kkmlab.seeding import _dsq_draw, _nearest_others, _swap_costs, _weighted_swap_costs
-from oracle_utils import _labels_cost, sequential_local_search
+from oracle_utils import _labels_cost, blob_labels, sequential_local_search
 
 
 def discrete_subset_optimum(K, k):
