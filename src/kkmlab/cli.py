@@ -32,17 +32,8 @@ from .rademacher import (
     khintchine_check,
     lower_bound_construction,
 )
-from .risk import MPolicy, RiskReport, run_cell, scaling_fit, standard_benchmark
+from .risk import METHOD_ALIASES, MPolicy, RiskReport, run_cell, scaling_fit, standard_benchmark
 from .seeding import approximate_erm, kernel_kmeanspp
-
-_METHOD_ALIASES = {
-    "exact": "exact_erm_approx",
-    "exact_erm_approx": "exact_erm_approx",
-    "nystrom": "nystrom",
-    "approx": "approx_erm",
-    "approx_erm": "approx_erm",
-}
-
 
 def _landmark_policy(section: str, mode: str, m, ny) -> MPolicy:
     """The landmark policy a config section asks for; a bad one is a ConfigError."""
@@ -205,11 +196,7 @@ def cmd_rad_check(cfg: ExperimentConfig) -> int:
 
 def cmd_risk_scan(cfg: ExperimentConfig) -> int:
     sweep = cfg.sweep
-    methods = []
-    for name in sweep.methods:
-        if name not in _METHOD_ALIASES:
-            raise ConfigError(f"unknown sweep method {name!r}")
-        methods.append(_METHOD_ALIASES[name])
+    methods = [METHOD_ALIASES[name] for name in sweep.methods]
     if sweep.m_mode == "fixed" and sweep.m_fixed is None:
         raise ConfigError("[sweep] m_mode=fixed needs m_fixed")
     policy = _landmark_policy("sweep", sweep.m_mode, sweep.m_fixed, cfg.nystrom)
@@ -232,26 +219,17 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
                 report.cells.append(cell)
 
     summary = []
-    if len(sweep.n_values) >= 3:
-        k0 = min(sweep.k_values)
+    for axis, values, key, value in (("n", sweep.n_values, "k", min(sweep.k_values)),
+                                     ("k", sweep.k_values, "n", max(sweep.n_values))):
+        if len(values) < 3:
+            continue
         for method in methods:
+            label = f"alpha_{axis}[{method},{key}={value}]"
             try:
-                expo, half = scaling_fit(report, "n", method=method, k=k0)
-                summary.append(
-                    f"alpha_n[{method},k={k0}] = {fmt12(expo)} +- {fmt12(half)}"
-                )
+                expo, half = scaling_fit(report, axis, method=method, **{key: value})
+                summary.append(f"{label} = {fmt12(expo)} +- {fmt12(half)}")
             except KKMLabError as exc:
-                summary.append(f"alpha_n[{method},k={k0}]: not fitted ({exc})")
-    if len(sweep.k_values) >= 3:
-        n0 = max(sweep.n_values)
-        for method in methods:
-            try:
-                expo, half = scaling_fit(report, "k", method=method, n=n0)
-                summary.append(
-                    f"alpha_k[{method},n={n0}] = {fmt12(expo)} +- {fmt12(half)}"
-                )
-            except KKMLabError as exc:
-                summary.append(f"alpha_k[{method},n={n0}]: not fitted ({exc})")
+                summary.append(f"{label}: not fitted ({exc})")
 
     status = 0
     if "exact_erm_approx" in methods and "nystrom" in methods:

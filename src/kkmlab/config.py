@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelSpec
-from .risk import MPolicy
+from .risk import METHOD_ALIASES, MPolicy
 
 __all__ = ["ExperimentConfig", "load_config", "OUTPUT_DIR_ENV", "FLAG_KEYS"]
 
@@ -63,6 +63,8 @@ def _one_of(*allowed):
 _AT_LEAST_0 = (lambda v: v >= 0, ">= 0")  # NaN fails too
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _ALL_AT_LEAST_1 = (lambda v: v and min(v) >= 1, "nonempty with every entry >= 1")
+_EACH_METHOD = (lambda v: v and set(v) <= METHOD_ALIASES.keys(),
+                f"nonempty with every entry one of {', '.join(METHOD_ALIASES)}")
 
 
 @dataclass
@@ -110,7 +112,7 @@ class LabConfig:
 class SweepConfig:
     n_values: list[int] = _key([64, 128, 256], _ALL_AT_LEAST_1, _int_list)
     k_values: list[int] = _key([2], _ALL_AT_LEAST_1, _int_list)
-    methods: list[str] = _key(["exact", "nystrom"], (bool, "nonempty"), _str_list)
+    methods: list[str] = _key(["exact", "nystrom"], _EACH_METHOD, _str_list)
     reps: int = _key(50, _AT_LEAST_1)
     m_mode: str = _key("general", _one_of(*MPolicy.MODES))
     m_fixed: int | None = None

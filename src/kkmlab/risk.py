@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 METHODS = ("exact_erm_approx", "nystrom", "approx_erm")
+# the names a config's [sweep] methods may use for them
+METHOD_ALIASES = {"exact": "exact_erm_approx", "approx": "approx_erm", **{m: m for m in METHODS}}
 
 _EXACT_ERM_RESTARTS = 20
 _SURROGATE_RUNS = 200

@@ -87,14 +87,14 @@ def _swap_costs(K: GramMatrix, near, cand_cols: np.ndarray) -> np.ndarray:
     return _weighted_swap_costs(K.entries, near, cand_cols, np.ones(K.n), trace, K.n)
 
 
-def _screen(K: GramMatrix, near, cands: np.ndarray, bar: float) -> np.ndarray:
-    """Positions in ``cands`` of the candidates whose swaps may cost less than
-    ``bar``, scored on ``K.distinct`` (``near`` taken at its rows ``rep``):
-    copies of a row have the same distances, so the same labels."""
+def _screen(K: GramMatrix, near, rows: np.ndarray, bar: float) -> np.ndarray:
+    """Whether a swap of each distinct row in ``rows`` (positions in
+    ``K.distinct.rep``) may cost less than ``bar``, scored on ``K.distinct``
+    (``near`` taken at its rows ``rep``): copies of a row have the same
+    distances, so the same labels."""
     d = K.distinct
-    cols = d.dists[:, d.groups[cands]]
-    grouped = _weighted_swap_costs(d.entries, near, cols, d.sizes, d.trace, K.n)
-    return np.flatnonzero(grouped.min(axis=1) < bar + d.margin)
+    grouped = _weighted_swap_costs(d.entries, near, d.dists[:, rows], d.sizes, d.trace, K.n)
+    return grouped.min(axis=1) < bar + d.margin
 
 
 def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> SeedingResult:
@@ -174,15 +174,19 @@ def local_search_improve(
     centers, try swapping it for each center in turn, and keep the best
     strictly improving swap if any.
 
-    A rejected round changes nothing, so rounds are scored in blocks of
-    candidates drawn at once; the first improving one is applied and the
-    generator rewound to just after its draw, so results and generator state
-    equal the round-by-round loop's.  Blocks double in width until a swap,
-    then restart at 1; B * n * k^2 stays within ``_BLOCK_ELEMENTS``.
+    A rejected round changes nothing, so the remaining rounds' candidates are
+    drawn in one block of up to ``cap`` at a time and scored exactly in draw
+    order, in chunks that double in width from 1 after each swap; the first
+    improving candidate is applied and the generator rewound to just after
+    its draw, so results and generator state equal the round-by-round loop's.
+    A chunk holds at most ``_BLOCK_ELEMENTS / (n k^2)`` candidates, and
+    ``cap`` is the same bound with ``n`` counting only distinct rows when
+    they are screened.
 
-    When Gram rows repeat (``K.distinct``), a block is first scored on the
-    distinct rows, and only the candidates this screen cannot reject are
-    scored exactly, so every accepted swap and cost comes from exact scores.
+    When Gram rows repeat (``K.distinct``), each distinct row drawn is first
+    screened once per center set on the distinct rows, and only candidates
+    whose rows the screen cannot reject are scored exactly, so every accepted
+    swap and cost comes from exact scores.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -198,35 +202,47 @@ def local_search_improve(
     center_dists = dists_to_points(K, centers)
     d = K.distinct
     max_width = max(1, _BLOCK_ELEMENTS // (K.n * k**2))
+    cap = max_width if d is None else max(1, _BLOCK_ELEMENTS // (len(d.rep) * k**2))
     width, moved = 1, True
     while rounds > 0:
-        if moved:  # what the draws and the trial labels need of the centers
+        if moved:  # what the draws, the screen and the trial labels need of the centers
             d2 = center_dists.min(axis=1)
             if not d2.sum() > 0.0:  # every point sits on a center
                 break
             near = _nearest_others(center_dists)
-            near_rep = near if d is None else tuple(a[:, d.rep] for a in near)
-        size = min(width, rounds)
+            bar = cost - _STRICT_IMPROVEMENT
+            if d is not None:
+                near_rep = tuple(a[:, d.rep] for a in near)
+                verdict = np.full(len(d.rep), -1, dtype=np.int8)  # -1 not yet screened
+        size = min(rounds, cap)
         state = rng.bit_generator.state
         cands = _dsq_draw(rng, d2, size)
-        bar = cost - _STRICT_IMPROVEMENT
-        kept = np.arange(len(cands)) if d is None else _screen(K, near_rep, cands, bar)
-        better = np.empty(0, dtype=np.int64)
-        if kept.size:  # score exactly only what the screen cannot reject
-            cand_cols = dists_to_points(K, cands[kept])
+        if d is None:
+            kept = np.arange(len(cands))
+        else:
+            rows = d.groups[cands]
+            new = np.flatnonzero((np.bincount(rows, minlength=verdict.size) > 0) & (verdict < 0))
+            if new.size:
+                verdict[new] = _screen(K, near_rep, new, bar)
+            kept = np.flatnonzero(verdict[rows] == 1)
+        pos, better = 0, np.empty(0, dtype=np.int64)
+        while pos < kept.size and not better.size:  # exact scores up to the first improver
+            chunk = kept[pos : pos + width]
+            cand_cols = dists_to_points(K, cands[chunk])
             costs = _swap_costs(K, near, cand_cols)
             better = np.flatnonzero(costs.min(axis=1) < bar)  # the first one is applied
-        used = int(kept[better[0]]) + 1 if better.size else len(cands)
+            pos += chunk.size
+            width = 1 if better.size else min(2 * width, max_width)
+        used = int(chunk[better[0]]) + 1 if better.size else len(cands)
         if used < size:  # rewind past the draws the round-by-round loop never made
             rng.bit_generator.state = state
             rng.random(used)
         rounds -= used
         moved = better.size > 0
-        width = 1 if moved else min(2 * width, max_width)
         if moved:
             j = better[0]
             p = int(np.argmin(costs[j]))  # first minimum: lowest position wins ties
-            centers[p] = cands[kept[j]]
+            centers[p] = cands[chunk[j]]
             cost = float(costs[j, p])
             swaps += 1
             center_dists[:, p] = cand_cols[:, j]

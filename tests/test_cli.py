@@ -412,6 +412,16 @@ class TestConfigValidation:
         assert main(["rad-check", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, word)
 
+    @pytest.mark.parametrize(
+        "command", ["cluster", "nystrom-embed", "rad-check", "risk-scan", "spectrum"]
+    )
+    def test_unknown_sweep_method_exits_two(self, config_file, capsys, command):
+        # used to load, so every command but risk-scan went on and exited 0
+        cfg, _ = config_file(body=BASE_CONFIG.replace("methods = exact, nystrom",
+                                                      "methods = exact, bogus"))
+        assert main([command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[sweep] methods")
+
     def test_percent_sign_is_literal(self, config_file, capsys):
         # used to end in an InterpolationSyntaxError traceback with exit 1
         cfg, _ = config_file(body=BASE_CONFIG.replace("bandwidth = 2.0", "bandwidth = 2%"))

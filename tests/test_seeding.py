@@ -17,7 +17,13 @@ from kkmlab import seeding
 from kkmlab.datasets import two_blob_points
 from kkmlab.errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from kkmlab.kernels import GramMatrix, dists_to_points
-from kkmlab.seeding import _dsq_draw, _nearest_others, _swap_costs, _weighted_swap_costs
+from kkmlab.seeding import (
+    _BLOCK_ELEMENTS,
+    _dsq_draw,
+    _nearest_others,
+    _swap_costs,
+    _weighted_swap_costs,
+)
 from oracle_utils import _labels_cost, blob_labels, sequential_local_search
 
 
@@ -351,6 +357,19 @@ def duplicated_sample(inst):
     return g, X, gram_matrix(_SCREEN_SPECS[inst % 3], X), k
 
 
+def half_distinct_sample(inst):
+    """n points (80 to 200) drawn from just under n/2 distinct ones, every
+    one drawn, with k from 5 to 9; copies' Gram rows are copied bit for bit,
+    so every distinct point is one screened row."""
+    g = np.random.default_rng([inst, 0xCA9])
+    n = int(g.integers(80, 201))
+    atoms = g.normal(size=(n // 2 - int(g.integers(0, 4)), 2))
+    idx = g.permutation(np.concatenate([np.arange(len(atoms)),
+                                        g.integers(len(atoms), size=n - len(atoms))]))
+    A = gram_matrix(_SCREEN_SPECS[inst % 3], atoms).entries
+    return GramMatrix.from_entries(A[np.ix_(idx, idx)], groups=idx), int(g.integers(5, 10))
+
+
 def grouped_and_exact(K, g, k, B=8):
     """Grouped and exact costs of every swap of B random candidates for k
     random centers, as two flat arrays."""
@@ -399,6 +418,18 @@ class TestScreen:
             assert got == want, (inst, K.n, k, rounds)
         assert screened >= 250
 
+    def test_capped_blocks_equal_sequential_loop(self):
+        # a block holds fewer draws than the rounds left, so a center set
+        # can span several blocks
+        for inst in range(20):
+            K, k = half_distinct_sample(inst)
+            rounds = 25 * k
+            assert _BLOCK_ELEMENTS // (len(K.distinct.rep) * k**2) < rounds
+            seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
+            got = _outcome(local_search_improve, K, seed, rounds, np.random.default_rng(inst))
+            want = _outcome(sequential_local_search, K, seed, rounds, np.random.default_rng(inst))
+            assert got == want, (inst, K.n, k)
+
     def test_grouped_costs_within_a_quarter_of_the_margin(self):
         for inst in range(300):
             g, _, K, k = duplicated_sample(inst)
@@ -430,43 +461,84 @@ class TestScreen:
         assert checked >= 30
 
     def test_exact_scores_only_what_the_screen_keeps(self, monkeypatch):
-        screened, scored, latest = [], [], []
-        real_screen, real_near = seeding._screen, seeding._nearest_others
+        # one record per center set: its trial labels, the screen's bar and
+        # verdict per distinct row, and per block the draws and exact calls
+        sets = []
+        real_screen, real_near, real_draw = seeding._screen, seeding._nearest_others, _dsq_draw
 
         def near_spy(center_dists):
-            latest[:] = [real_near(center_dists)]
-            return latest[0]
+            sets.append({"near": real_near(center_dists), "verdict": {}, "blocks": []})
+            return sets[-1]["near"]
 
-        def screen_spy(K, near, cands, bar):
-            for a, full in zip(near, latest[0]):
+        def draw_spy(rng, d2, size):
+            cands = real_draw(rng, d2, size)
+            sets[-1]["blocks"].append((cands, []))
+            return cands
+
+        def screen_spy(K, near, rows, bar):
+            s = sets[-1]
+            for a, full in zip(near, s["near"]):
                 assert np.array_equal(a, full[:, K.distinct.rep])
-            kept = real_screen(K, near, cands, bar)
-            screened.append((K, latest[0], cands.copy(), bar, kept))
-            return kept
+            # each distinct row is screened at most once per center set
+            assert len(set(rows.tolist()) | s["verdict"].keys()) == len(s["verdict"]) + rows.size
+            keep = real_screen(K, near, rows, bar)
+            s["verdict"].update(zip(rows.tolist(), keep.tolist()))
+            s.update(K=K, bar=bar)
+            return keep
 
         def exact_spy(K, near, cand_cols):
-            scored.append((len(screened) - 1, cand_cols.copy()))
-            return _swap_costs(K, near, cand_cols)
+            costs = _swap_costs(K, near, cand_cols)
+            sets[-1]["blocks"][-1][1].append((cand_cols.copy(), costs.min(axis=1)))
+            return costs
 
+        samples = [duplicated_sample(inst)[2:] for inst in range(40)]
+        samples += [half_distinct_sample(inst) for inst in range(4)]  # sets span blocks
+        cases = [(inst, K, kernel_kmeanspp(K, k, np.random.default_rng(inst)))
+                 for inst, (K, k) in enumerate(samples) if K.distinct is not None]
         monkeypatch.setattr(seeding, "_nearest_others", near_spy)
+        monkeypatch.setattr(seeding, "_dsq_draw", draw_spy)
         monkeypatch.setattr(seeding, "_screen", screen_spy)
         monkeypatch.setattr(seeding, "_swap_costs", exact_spy)
-        for inst in range(40):
-            _, _, K, k = duplicated_sample(inst)
-            if K.distinct is None:
-                continue
-            seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
-            _outcome(local_search_improve, K, seed, 4 * k + 1, np.random.default_rng(inst))
-        # one exact call per block that kept a candidate, on exactly those candidates
-        assert [i for i, _ in scored] == [i for i, s in enumerate(screened) if s[4].size]
-        for i, cand_cols in scored:
-            K, _, cands, _, kept = screened[i]
-            assert np.array_equal(cand_cols, dists_to_points(K, cands[kept]))
-        # no rejected candidate had an improving swap
-        for K, near, cands, bar, kept in screened:
-            rejected = np.delete(cands, kept)
-            assert np.all(_swap_costs(K, near, dists_to_points(K, rejected)) >= bar)
-        assert len(screened) > 2 * len(scored) > 0
+        for inst, K, seed in cases:
+            first = len(sets)
+            _outcome(local_search_improve, K, seed, 4 * len(seed.center_indices) + 1,
+                     np.random.default_rng(inst))
+            for s in sets[first:]:
+                s["next"] = s is not sets[-1]  # a swap made the next center set
+                s["after_swap"] = s is not sets[first]
+        kept_rounds = rejected_rounds = 0
+        for s in sets:
+            K, bar, d = s["K"], s["bar"], s["K"].distinct
+            improving = []
+            for cands, exact in s["blocks"]:
+                # exact scores go to the block's kept candidates in draw order
+                keep = np.array([s["verdict"][u] for u in d.groups[cands].tolist()], dtype=bool)
+                kept = np.flatnonzero(keep)
+                mins = np.concatenate([m for _, m in exact]) if exact else np.empty(0)
+                if exact:
+                    cols = np.concatenate([c for c, _ in exact], axis=1)
+                    assert np.array_equal(cols, dists_to_points(K, cands[kept[: mins.size]]))
+                improving += [bool(np.any(m < bar)) for _, m in exact]
+                if not any(improving):  # every kept candidate was scored
+                    assert mins.size == kept.size
+                # the rounds the block stands for end at its applied candidate
+                applied = np.flatnonzero(mins < bar)
+                used = kept[applied[0]] + 1 if applied.size else cands.size
+                kept_rounds += int(keep[:used].sum())
+                rejected_rounds += int(used - keep[:used].sum())
+            # exact scoring starts at one candidate after a swap and stops at
+            # the first chunk with an improver
+            widths = [c.shape[1] for _, exact in s["blocks"] for c, _ in exact]
+            assert widths[:1] in ([], [1]) or not s["after_swap"]
+            assert not any(improving[:-1])
+            assert improving[-1:] == [True] or not s["next"]
+            # no rejected candidate has an improving swap
+            rejected = [u for u, keep in s["verdict"].items() if not keep]
+            costs = _swap_costs(K, s["near"], dists_to_points(K, d.rep[rejected]))
+            assert np.all(costs >= bar)
+        assert any(len(s["blocks"]) > 1 for s in sets)
+        # the screen rejects most candidates
+        assert rejected_rounds > kept_rounds > 0
 
     def test_continuous_data_and_groupless_grams_are_not_screened(self, monkeypatch):
         def no_screen(*args):
