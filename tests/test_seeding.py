@@ -479,6 +479,7 @@ class TestScreen:
             s = sets[-1]
             for a, full in zip(near, s["near"]):
                 assert np.array_equal(a, full[:, K.distinct.rep])
+            assert rows.size * len(K.distinct.rep) * len(near[0]) ** 2 <= _BLOCK_ELEMENTS
             # each distinct row is screened at most once per center set
             assert len(set(rows.tolist()) | s["verdict"].keys()) == len(s["verdict"]) + rows.size
             keep = real_screen(K, near, rows, bar)
@@ -487,6 +488,7 @@ class TestScreen:
             return keep
 
         def exact_spy(K, near, cand_cols):
+            assert cand_cols.shape[1] * K.n * len(near[0]) ** 2 <= _BLOCK_ELEMENTS
             costs = _swap_costs(K, near, cand_cols)
             sets[-1]["blocks"][-1][1].append((cand_cols.copy(), costs.min(axis=1)))
             return costs
