@@ -32,7 +32,8 @@ from .rademacher import (
     khintchine_check,
     lower_bound_construction,
 )
-from .risk import METHOD_ALIASES, MPolicy, RiskReport, run_cell, scaling_fit, standard_benchmark
+from .risk import (METHOD_ALIASES, MPolicy, RiskReport, exact_vs_nystrom, run_cell,
+                   scaling_fit, standard_benchmark)
 from .seeding import approximate_erm, kernel_kmeanspp
 
 def _landmark_policy(section: str, mode: str, m, ny) -> MPolicy:
@@ -233,25 +234,8 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
 
     status = 0
     if "exact_erm_approx" in methods and "nystrom" in methods:
-        paired = overlapping = 0
-        by_key = {(c.n, c.k, c.method): c for c in report.cells}
-        for k in sweep.k_values:
-            for n in sweep.n_values:
-                e = by_key.get((n, k, "exact_erm_approx"))
-                v = by_key.get((n, k, "nystrom"))
-                if e is None or v is None:
-                    continue
-                paired += 1
-                gap = abs(e.mean_excess_risk - v.mean_excess_risk)
-                overlapping += gap <= 2.0 * e.std_error + 2.0 * v.std_error
-        frac = overlapping / paired if paired else 1.0
-        verdict = "consistent" if frac >= 0.8 else "violated"
-        summary.append(
-            f"exact_vs_nystrom: {overlapping}/{paired} cells overlap "
-            f"(2 std_error bands) -> {verdict}"
-        )
-        if verdict == "violated":
-            status = 1
+        line, status = exact_vs_nystrom(report, sweep.n_values, sweep.k_values)
+        summary.append(line)
 
     out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -134,17 +134,18 @@ def _repair_empty(labels: np.ndarray, k: int, dist_to_own: np.ndarray) -> np.nda
     return labels
 
 
-def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float):
+def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float, margin):
     """Lloyd iteration in the geometry that ``fit`` describes: ``fit(labels)``
     returns the labeling's cost and a callable giving the (n, k) squared
-    distances from every point to its cluster means.
+    distances from every point to its cluster means.  A step that raises the
+    cost by more than ``margin()``, a rounding bound, is ``InvariantViolated``.
 
     Each step reassigns every point to its nearest center (ties broken toward
     the lowest cluster index).  A cluster that empties is repaired by donating
     the point currently farthest from its own center, which keeps k fixed and
     never increases the cost.  Stops when labels are unchanged (their cost is
     repeated, not refit), the relative cost drop falls below ``rel_tol``, or
-    ``max_iter`` is reached.
+    ``max_iter`` is reached.  The trace's costs are read-only.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -170,16 +171,15 @@ def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float):
         costs.append(cost)
         labels = new_labels
         prev = costs[-2]
+        if cost > prev and cost - prev > margin():  # the margin only when a rise is seen
+            raise InvariantViolated(f"a Lloyd step raised the cost from {prev!r} to {cost!r}")
         drop = (prev - cost) / prev if prev > 0 else 0.0
         if drop < rel_tol:
             converged = True
             break
 
-    trace = ClusterCostTrace(
-        per_iteration_cost=np.asarray(costs),
-        converged=converged,
-        iterations=iterations,
-    )
+    trace = ClusterCostTrace(np.asarray(costs), converged, iterations)
+    trace.per_iteration_cost.setflags(write=False)  # a kernel_lloyd result is shared
     return Assignment.from_labels(labels, k), trace
 
 
@@ -190,7 +190,9 @@ def kernel_lloyd(
     rel_tol: float = 1e-9,
 ):
     """Lloyd iteration in feature space with centers at the implicit cluster
-    means; steps, empty-cluster repair and stopping rules are ``_lloyd``'s."""
+    means; steps, empty-cluster repair and stopping rules are ``_lloyd``'s.  It
+    is deterministic, so a repeat of a start, k and stopping rules on one Gram
+    returns the first call's (immutable) assignment and trace."""
     if init.n != K.n:
         raise ValueError("init and Gram matrix disagree on n")
 
@@ -200,7 +202,10 @@ def kernel_lloyd(
         KG, T, sizes = _cluster_linkage(K, labels, init.k)
         return _linkage_cost(K, T, sizes), lambda: _point_center_dists(K, KG, T, sizes)
 
-    return _lloyd(init, fit, max_iter, rel_tol)
+    key = (init.labels.tobytes(), init.k, max_iter, rel_tol)
+    if key not in K._lloyd_fits:
+        K._lloyd_fits[key] = _lloyd(init, fit, max_iter, rel_tol, lambda: _cost_margin(K))
+    return K._lloyd_fits[key]
 
 
 def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None):

@@ -93,9 +93,9 @@ class ClusterConfig:
 class NystromConfig:
     m: int | None = None
     mode: str = _key("fixed", _one_of(*MPolicy.MODES))
-    c_scale: float = _key(1.0, (lambda v: v > 0, "positive"))
+    c_scale: float = _key(1.0, (lambda v: 0 < v < np.inf, "positive and finite"))
     delta: float = 0.1
-    jitter: float = _key(0.0, _AT_LEAST_0)
+    jitter: float = _key(0.0, (lambda v: 0 <= v < np.inf, ">= 0 and finite"))
 
 
 @dataclass
@@ -116,13 +116,13 @@ class SweepConfig:
     reps: int = _key(50, _AT_LEAST_1)
     m_mode: str = _key("general", _one_of(*MPolicy.MODES))
     m_fixed: int | None = None
-    benchmark_seed: int | None = None
+    benchmark_seed: int | None = _key(None, _AT_LEAST_0)
     benchmark_spread: float | None = None
 
 
 @dataclass
 class RunConfig:
-    master_seed: int
+    master_seed: int = field(metadata={"rule": _AT_LEAST_0})  # numpy seeds are >= 0
     output_dir: Path = Path("out")
     # runs are single-threaded; the key stays accepted for existing configs
     workers: int = _key(1, (lambda v: v == 1, "1"))

@@ -139,20 +139,32 @@ class GramMatrix:
         trace = float(np.sum(self.diag))
         return DistinctGram(groups, rep, sizes, entries, dists, trace, _cost_margin(self))
 
+    @cached_property
+    def _lloyd_fits(self) -> dict:
+        """``kernel_lloyd``'s results on this matrix, filled on demand."""
+        return {}
+
 
 def _cost_margin(K: GramMatrix) -> float:
-    """Bound on the gap between two floating-point evaluations of one
-    labeling's mean-centroid cost on ``K`` that sum in different orders.
+    """``_rounding_margin`` with max|K| as the scale."""
+    return _rounding_margin(K.n, max(float(K.entries.max()), -float(K.entries.min())))
 
-    Each evaluation is within gamma_{3n+4} max|K| of the exact cost, where
+
+def _rounding_margin(n: int, scale: float) -> float:
+    """Bound on the gap between two floating-point evaluations of one
+    labeling's mean-centroid cost on n points that sum in different orders,
+    when no Gram entry exceeds ``scale`` in size (for coordinates z, max
+    ||z_i||^2 bounds their linear kernel).
+
+    Each evaluation is within gamma_{3n+4} scale of the exact cost, where
     gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 3.1 and 4.2): a block's pair sum meets gamma_{2n}
-    s_j^2 max|K| whether it is a Gram product or a running sum, and the
+    s_j^2 scale whether it is a Gram product or a running sum, and the
     division by s_j, the sum over blocks and the trace add the rest.  Four
-    roundings more cover a threshold built on it.  NaN if ``K`` holds a NaN.
+    roundings more cover a threshold built on it.  NaN if ``scale`` is NaN.
     """
-    m = (3 * K.n + 8) * 2.0**-53
-    return 2.0 * m / (1.0 - m) * max(float(K.entries.max()), -float(K.entries.min()))
+    m = (3 * n + 8) * 2.0**-53
+    return 2.0 * m / (1.0 - m) * scale
 
 
 @dataclass(frozen=True)

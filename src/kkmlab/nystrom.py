@@ -28,7 +28,7 @@ from .errors import (
     MTooLarge,
     SingularLandmarkBlockWarning,
 )
-from .kernels import GramMatrix
+from .kernels import GramMatrix, _rounding_margin
 from .seeding import _dsq_centers
 
 __all__ = [
@@ -116,7 +116,7 @@ def landmark_size(
             raise MissingXi(f"mode={mode!r} needs xi (pass k when unknown)")
         raw = base * min(float(k), float(xi))
         raw /= math.sqrt(k) if mode == "general" else float(k)
-    return int(min(max(math.ceil(raw), 1), n))
+    return int(math.ceil(min(max(raw, 1.0), n)))  # clamped first: raw may overflow to inf
 
 
 def nystrom_embed(K: GramMatrix, L: LandmarkSet, jitter: float = 0.0) -> EmbeddedDataset:
@@ -191,7 +191,8 @@ def euclidean_lloyd(
     rel_tol: float = 1e-9,
 ):
     """Plain Lloyd iteration on embedded coordinates: the kernel-space loop
-    (``kernel_lloyd``) with centers restricted to the coordinates' means."""
+    (``kernel_lloyd``) with centers restricted to the coordinates' means, and
+    the rounding margin of the linear kernel on them."""
     if init.n != Z.shape[0]:
         raise ValueError("init and coordinates disagree on n")
 
@@ -199,7 +200,8 @@ def euclidean_lloyd(
         # cost from the coordinates' own means: summed from the distances it rounds differently
         return _zspace_cost(Z, labels, init.k), lambda: _zspace_dists(Z, labels, init.k)
 
-    return _lloyd(init, fit, max_iter, rel_tol)
+    return _lloyd(init, fit, max_iter, rel_tol,
+                  lambda: _rounding_margin(len(Z), float(np.einsum("ij,ij->i", Z, Z).max())))
 
 
 def euclidean_kmeanspp_labels(Z: np.ndarray, k: int, rng) -> Assignment:

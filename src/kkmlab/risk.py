@@ -51,6 +51,7 @@ __all__ = [
     "optimal_risk",
     "run_cell",
     "scaling_fit",
+    "exact_vs_nystrom",
     "beta_ratio_study",
     "standard_benchmark",
 ]
@@ -233,11 +234,10 @@ def _weighted_partition_costs(K: np.ndarray, w: np.ndarray, chunk: np.ndarray, k
     return float(w @ np.diagonal(K)) - per.sum(axis=1)
 
 
-def _weighted_lloyd_labels(K: GramMatrix, w: np.ndarray, labels: np.ndarray, k: int,
-                           max_iter: int = 100) -> np.ndarray:
+def _weighted_lloyd_labels(K: GramMatrix, w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Weight-aware Lloyd polish on the atom set (used by the surrogate): no
-    empty-cluster repair; stops when the labels repeat or after max_iter."""
-    for _ in range(max_iter):
+    empty-cluster repair; stops when the labels repeat or after 100 steps."""
+    for _ in range(100):
         D = _point_center_dists(K, *_cluster_linkage(K, labels, k, w))
         new_labels = np.argmin(D, axis=1)
         if np.array_equal(new_labels, labels):
@@ -289,13 +289,15 @@ def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> O
         return OptimalRisk(value=max(best, 0.0), exact=True)
 
     seed_base = 0 if P.generator_seed is None else int(P.generator_seed)
-    best = np.inf
+    fits = {}  # the polish is deterministic: each distinct fit is polished once
     for run in range(surrogate_runs):
         rng = np.random.default_rng([seed_base, 0x5EED, k, run])
         a, _, _ = approximate_erm(P.gram, k, rng=rng)
-        labels = _weighted_lloyd_labels(P.gram, P.weights, a.labels, k)
-        centers = _weighted_mean_centers(P.weights, labels, k)
-        best = min(best, population_risk(P, centers))
+        fits.setdefault(a.labels.tobytes(), a.labels)
+    best = np.inf
+    for labels in fits.values():
+        polished = _weighted_lloyd_labels(P.gram, P.weights, labels, k)
+        best = min(best, population_risk(P, _weighted_mean_centers(P.weights, polished, k)))
     return OptimalRisk(value=max(best, 0.0), exact=False)
 
 
@@ -319,16 +321,12 @@ def _fit_once(K: GramMatrix, k: int, method: str, policy: MPolicy, rng):
     """
     n = K.n
     if method in ("exact_erm_approx", "approx_erm"):
-        best_cost = np.inf
-        best_labels = None
-        for _ in range(_EXACT_ERM_RESTARTS if method == "exact_erm_approx" else 1):
-            a, trace, _ = approximate_erm(K, k, rng=rng)
-            cost = float(trace.per_iteration_cost[-1])
-            if cost < best_cost:
-                best_cost = cost
-                best_labels = a.labels
-        G = _onehot(best_labels, k)
-        return best_cost, (G / G.sum(axis=0)).T, 0.0
+        fits = [approximate_erm(K, k, rng=rng)
+                for _ in range(_EXACT_ERM_RESTARTS if method == "exact_erm_approx" else 1)]
+        # ties go to the earliest restart: min keeps the first of equal keys
+        a, trace, _ = min(fits, key=lambda fit: float(fit[1].per_iteration_cost[-1]))
+        G = _onehot(a.labels, k)
+        return float(trace.per_iteration_cost[-1]), (G / G.sum(axis=0)).T, 0.0
 
     if method == "nystrom":
         m = policy.landmarks_for(K, n, k)
@@ -339,19 +337,16 @@ def _fit_once(K: GramMatrix, k: int, method: str, policy: MPolicy, rng):
             warnings.simplefilter("ignore", SingularLandmarkBlockWarning)
             emb = nystrom_embed(K, L)
         resid = float(np.mean(emb.residuals))
-        best_cost = np.inf
-        best_a = None
+        starts = {}  # Lloyd is deterministic and draws nothing: each distinct start runs once
         for _ in range(_EXACT_ERM_RESTARTS):
             start = euclidean_kmeanspp_labels(emb.coords, k, rng)
-            a, trace = euclidean_lloyd(emb.coords, start)
-            cost = float(trace.per_iteration_cost[-1]) + resid
-            if cost < best_cost:
-                best_cost = cost
-                best_a = a
-        beta = landmark_coefficients(emb, best_a)  # (k, m) over landmark positions
+            starts.setdefault(start.labels.tobytes(), start)
+        fits = [euclidean_lloyd(emb.coords, start) for start in starts.values()]
+        a, trace = min(fits, key=lambda fit: float(fit[1].per_iteration_cost[-1]) + resid)
+        beta = landmark_coefficients(emb, a)  # (k, m) over landmark positions
         gamma = np.zeros((k, n))
         np.add.at(gamma.T, L.indices, beta.T)
-        return best_cost, gamma, float(m)
+        return float(trace.per_iteration_cost[-1]) + resid, gamma, float(m)
 
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
@@ -446,6 +441,20 @@ def scaling_fit(report, axis: str, method: str | None = None,
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
     return float(slope), 2.0 * se
+
+
+def exact_vs_nystrom(report, n_values, k_values):
+    """The verdict on a sweep of both methods over the (n, k) grid, as its
+    summary line and exit status (1 when violated): consistent when in 80% of
+    the cells the excess risks differ by at most their 2 std_error bands."""
+    by_key = {(c.n, c.k, c.method): c for c in report.cells}
+    pairs = [(by_key[n, k, "exact_erm_approx"], by_key[n, k, "nystrom"])
+             for k in k_values for n in n_values]
+    overlapping = sum(abs(e.mean_excess_risk - v.mean_excess_risk)
+                      <= 2.0 * e.std_error + 2.0 * v.std_error for e, v in pairs)
+    verdict = "consistent" if overlapping / len(pairs) >= 0.8 else "violated"
+    return (f"exact_vs_nystrom: {overlapping}/{len(pairs)} cells overlap "
+            f"(2 std_error bands) -> {verdict}"), int(verdict == "violated")
 
 
 def beta_ratio_study(

@@ -130,6 +130,10 @@ def _dsq_draw(rng: np.random.Generator, d2: np.ndarray, size: int) -> np.ndarray
 def _dsq_centers(n: int, k: int, rng: np.random.Generator, dists_to) -> list[int]:
     """k distinct point indices by D^2 sampling, in either geometry:
     ``dists_to(i)`` returns every point's squared distance to point i."""
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
+    if k > n:
+        raise KTooLarge(f"k={k} exceeds n={n}")
     centers = [int(rng.integers(n))]
     d2 = dists_to(centers[0])
     for _ in range(1, k):
@@ -152,13 +156,8 @@ def kernel_kmeanspp(K: GramMatrix, k: int, rng=None) -> SeedingResult:
     data), the draw falls back to uniform over the non-center indices so
     that k distinct indices are still returned.
     """
-    n = K.n
-    if k < 1:
-        raise KTooSmall(f"k must be >= 1, got {k}")
-    if k > n:
-        raise KTooLarge(f"k={k} exceeds n={n}")
     rng = ensure_rng(rng)
-    centers = _dsq_centers(n, k, rng, lambda i: dists_to_points(K, [i])[:, 0])
+    centers = _dsq_centers(K.n, k, rng, lambda i: dists_to_points(K, [i])[:, 0])
     return _result_for_centers(K, np.asarray(centers), swaps=0)
 
 
@@ -186,7 +185,8 @@ def local_search_improve(
     When Gram rows repeat (``K.distinct``), each distinct row drawn is first
     screened once per center set on the distinct rows, and only candidates
     whose rows the screen cannot reject are scored exactly, so every accepted
-    swap and cost comes from exact scores.
+    swap and cost comes from exact scores.  ``_nearest_others`` then runs on
+    the distinct rows, spread to all n only when a center set scores exactly.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -209,10 +209,11 @@ def local_search_improve(
             d2 = center_dists.min(axis=1)
             if not d2.sum() > 0.0:  # every point sits on a center
                 break
-            near = _nearest_others(center_dists)
             bar = cost - _STRICT_IMPROVEMENT
-            if d is not None:
-                near_rep = tuple(a[:, d.rep] for a in near)
+            if d is None:
+                near = _nearest_others(center_dists)
+            else:  # copies of a row have the same center distances, so the same near
+                near, near_rep = None, _nearest_others(center_dists[d.rep])
                 verdict = np.full(len(d.rep), -1, dtype=np.int8)  # -1 not yet screened
         size = min(rounds, cap)
         state = rng.bit_generator.state
@@ -228,6 +229,8 @@ def local_search_improve(
         pos, better = 0, np.empty(0, dtype=np.int64)
         while pos < kept.size and not better.size:  # exact scores up to the first improver
             chunk = kept[pos : pos + width]
+            if near is None:
+                near = tuple(a[:, d.groups] for a in near_rep)
             cand_cols = dists_to_points(K, cands[chunk])
             costs = _swap_costs(K, near, cand_cols)
             better = np.flatnonzero(costs.min(axis=1) < bar)  # the first one is applied
@@ -247,7 +250,9 @@ def local_search_improve(
             swaps += 1
             center_dists[:, p] = cand_cols[:, j]
 
-    return _result_for_centers(K, centers, swaps=swaps)
+    # the loop's columns and exact cost are ``_result_for_centers``', bit for bit
+    induced = Assignment.from_labels(np.argmin(center_dists, axis=1), k)
+    return SeedingResult(centers, induced, cost, swaps)
 
 
 def approximate_erm(

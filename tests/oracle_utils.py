@@ -1,14 +1,27 @@
 """Shared test oracles, kept independent of the library's own computations."""
 
 import math
+import warnings
 
 import numpy as np
 
 from kkmlab.clustering import Assignment, _chunk_costs, iter_label_chunks
-from kkmlab.errors import InvariantViolated, NonFiniteInput, NormalizationViolated
+from kkmlab.errors import (
+    InvariantViolated,
+    NonFiniteInput,
+    NormalizationViolated,
+    SingularLandmarkBlockWarning,
+)
 from kkmlab.kernels import GramMatrix, dists_to_points
+from kkmlab.nystrom import (
+    euclidean_kmeanspp_labels,
+    euclidean_lloyd,
+    landmark_coefficients,
+    nystrom_embed,
+    sample_landmarks_uniform,
+)
 from kkmlab.rademacher import _BLOCK, _batch_suprema, _min_dist_table, _sign_block
-from kkmlab.seeding import _result_for_centers
+from kkmlab.seeding import _result_for_centers, approximate_erm
 
 
 def kernel_value(spec, x, y) -> float:
@@ -244,3 +257,30 @@ def sequential_local_search(K, seed, rounds, rng):
             center_dists[:, best_pos] = cand_col
             d2 = center_dists.min(axis=1)
     return _result_for_centers(K, centers, swaps=swaps), accepted
+
+
+def reference_fit_once(K, k, method, policy, rng, restarts=20):
+    """``risk._fit_once`` with a Lloyd run for every restart, keeping the
+    first strictly lowest cost: the reference for its once-per-start fits."""
+    best_cost, best = np.inf, None
+    if method != "nystrom":
+        for _ in range(restarts if method == "exact_erm_approx" else 1):
+            a, trace, _ = approximate_erm(K, k, rng=rng)
+            if float(trace.per_iteration_cost[-1]) < best_cost:
+                best_cost, best = float(trace.per_iteration_cost[-1]), a.labels
+        G = (best[:, None] == np.arange(k)).astype(float)
+        return best_cost, (G / G.sum(axis=0)).T, 0.0
+    m = policy.landmarks_for(K, K.n, k)
+    L = sample_landmarks_uniform(K.n, m, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularLandmarkBlockWarning)
+        emb = nystrom_embed(K, L)
+    resid = float(np.mean(emb.residuals))
+    for _ in range(restarts):
+        a, trace = euclidean_lloyd(emb.coords, euclidean_kmeanspp_labels(emb.coords, k, rng))
+        if float(trace.per_iteration_cost[-1]) + resid < best_cost:
+            best_cost, best = float(trace.per_iteration_cost[-1]) + resid, a
+    gamma = np.zeros((k, K.n))
+    np.add.at(gamma.T, L.indices, landmark_coefficients(emb, best).T)
+    return best_cost, gamma, float(m)
+

@@ -1,8 +1,15 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkmlab.cli import main
+from kkmlab.config import ExperimentConfig
 
 BASE_CONFIG = """
 [kernel]
@@ -334,6 +341,14 @@ class TestConfigValidation:
         assert main(["cluster", "--config", str(cfg), "--method", method, "--k", k]) == 2
         self.assert_one_line_error(capsys, "[cluster] k")
 
+    @pytest.mark.parametrize("method", ["lloyd", "approx", "nystrom"])
+    def test_k_above_n_exits_two(self, config_file, capsys, method):
+        # the nystrom seeding used to end in numpy's ValueError with exit 1
+        body = BASE_CONFIG.replace("source = synthetic", "source = inline\ninline = 0 0; 1 1")
+        cfg, _ = config_file(body=body)
+        assert main(["cluster", "--config", str(cfg), "--method", method, "--k", "3"]) == 2
+        self.assert_one_line_error(capsys, "k=3 exceeds n=2")
+
     def test_k_below_one_setting_exits_two(self, config_file, capsys):
         cfg, _ = config_file(body=BASE_CONFIG.replace("k = 2\nmethod", "k = 0\nmethod"))
         assert main(["cluster", "--config", str(cfg)]) == 2
@@ -365,7 +380,14 @@ class TestConfigValidation:
          ("n = 24", "n = 0", "cluster", "[data] n"),
          ("dim = 2", "dim = 0", "cluster", "[data] dim"),
          ("m = 6\nmode = fixed", "m = 6\nmode = fixed\njitter = -1", "nystrom-embed",
-          "[nystrom] jitter")],
+          "[nystrom] jitter"),
+         ("m = 6\nmode = fixed", "m = 6\nmode = fixed\njitter = inf", "nystrom-embed",
+          "[nystrom] jitter"),
+         ("m = 6\nmode = fixed", "m = 6\nmode = general\nc_scale = inf", "spectrum",
+          "[nystrom] c_scale"),
+         ("master_seed = 42", "master_seed = -1", "cluster", "[run] master_seed"),
+         ("m_fixed = 8", "m_fixed = 8\nbenchmark_seed = -1", "risk-scan",
+          "[sweep] benchmark_seed")],
     )
     def test_out_of_range_setting_exits_two(self, config_file, capsys, old, new, command, word):
         # each used to end in a traceback with exit 1, a report of NaNs with
@@ -376,7 +398,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "command, word", [(["rad-check", "--trials", "0"], "[lab] trials"),
-                          (["risk-scan", "--reps", "-1"], "[sweep] reps")],
+                          (["risk-scan", "--reps", "-1"], "[sweep] reps"),
+                          (["spectrum", "--seed", "-1"], "[run] master_seed")],
     )
     def test_out_of_range_flag_exits_two(self, config_file, capsys, command, word):
         cfg, _ = config_file()
@@ -507,3 +530,64 @@ class TestConfigValidation:
         assert main(["cluster", "--config", str(cfg)]) == 0
         _, rows = read_csv(out / "assignment.csv")
         assert len(rows) == 4
+
+
+# small enough that any command on it runs in a fraction of a second
+FUZZ_BASE = {
+    "kernel": {"bandwidth": "2.0"},
+    "data": {"n": "12"},
+    "cluster": {"k": "2", "restarts": "2"},
+    "nystrom": {"m": "4", "mode": "fixed"},
+    "lab": {"trials": "50", "grid": "2x4"},
+    "sweep": {"n_values": "8, 12", "k_values": "2", "methods": "exact, nystrom", "reps": "2",
+              "m_mode": "fixed", "m_fixed": "4"},
+    "run": {"master_seed": "42"},
+}
+# every key but the output directory, and values that keep the runs small
+FUZZ_KEYS = [(name, f.name) for name, cls in get_type_hints(ExperimentConfig).items()
+             for f in fields(cls) if f.name != "output_dir"]
+SMALL = st.sampled_from(["1", "2", "3"])
+FUZZ_VALUE = SMALL | st.sampled_from([
+    "", "0", "-1", "0.5", "1.5", "nan", "inf", "-inf", "1e-9", "x", "2x4", "1x3, 2x2", "true",
+    "off", "bogus", "fixed", "general", "eigendecay", "linear_k", "linear", "polynomial",
+    "inline", "csv", "approx", "nystrom", "exact, approx", "0 0; 1 1; 0 1", "0 0",
+])
+FLAG_VALUE = SMALL | st.sampled_from(["-1", "0", "1.5", "x", "lloyd", "approx", "nystrom", "exact",
+                                      "exact,nystrom"])
+# each command's value flags besides --config and --output-dir
+COMMAND_FLAGS = {
+    "cluster": ["--seed", "--method", "--m", "--k"], "spectrum": ["--seed", "--k"],
+    "nystrom-embed": ["--seed", "--m"], "rad-check": ["--seed", "--trials"],
+    "risk-scan": ["--seed", "--methods", "--reps"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(COMMAND_FLAGS)),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUE), max_size=2),
+       flags=st.lists(st.tuples(st.integers(0, 3), FLAG_VALUE), max_size=2))
+def test_any_config_and_flags_keep_the_exit_contract(fuzz_dir, command, edits, flags):
+    sections = {name: dict(keys) for name, keys in FUZZ_BASE.items()}
+    for (name, key), value in edits:
+        sections.setdefault(name, {})[key] = value
+    sections["run"]["output_dir"] = str(fuzz_dir / "out")
+    cfg = fuzz_dir / "fuzz.cfg"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items()), encoding="utf-8")
+    names = COMMAND_FLAGS[command]
+    argv = [command, "--config", str(cfg), *(f"{names[i % len(names)]}={v}" for i, v in flags)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "violated" in out.getvalue()

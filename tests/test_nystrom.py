@@ -20,12 +20,14 @@ from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
     InvalidDelta,
+    InvariantViolated,
     MissingXi,
     MTooLarge,
     SingularLandmarkBlockWarning,
 )
 import kkmlab.clustering as clustering_module
 import kkmlab.nystrom as nystrom_module
+from kkmlab.kernels import GramMatrix, _cost_margin, _rounding_margin
 from kkmlab.nystrom import euclidean_kmeanspp_labels, euclidean_lloyd
 from oracle_utils import blob_labels
 
@@ -87,6 +89,8 @@ class TestLandmarkSize:
     def test_clamped_to_range(self):
         assert landmark_size(10, 2, delta=1e-6, xi=2.0, mode="general") == 10
         assert landmark_size(4, 4, delta=0.9, xi=0.01, mode="general") == 1
+        # a budget that overflows to inf is clamped, not passed to math.ceil
+        assert landmark_size(10, 2, delta=0.1, mode="eigendecay", c_scale=1e308) == 10
 
     def test_errors(self):
         with pytest.raises(InvalidDelta):
@@ -306,3 +310,47 @@ class TestEuclideanLloyd:
             else:
                 euclidean_lloyd(nystrom_embed(K, LandmarkSet.from_indices(range(8))).coords,
                                 init, **kwargs)
+
+    @pytest.mark.parametrize("lloyd", ["kernel", "euclidean"])
+    def test_cost_rise_beyond_the_rounding_margin_raises(self, monkeypatch, lloyd):
+        Z, a0 = self.blob_instance(5, 300, 5, 16, "random")
+        K = GramMatrix.from_entries(Z @ Z.T)  # the linear kernel of the coordinates
+        if lloyd == "kernel":
+            margin = _cost_margin(K)
+        else:
+            margin = _rounding_margin(len(Z), float(np.max(np.sum(Z * Z, axis=1))))
+
+        def run():
+            return kernel_lloyd(K, a0) if lloyd == "kernel" else euclidean_lloyd(Z, a0)
+
+        real, rise, margin_calls = clustering_module._lloyd, [], []
+
+        def stubbed(init, fit, max_iter, rel_tol, margin_fn):
+            first = []
+
+            def rising_fit(labels):  # every refit costs the first cost plus the rise
+                cost, dists = fit(labels)
+                first.append(cost)
+                return (first[0] + rise[0] if len(first) > 1 else cost), dists
+
+            def counted_margin():
+                margin_calls.append(1)
+                return margin_fn()
+
+            return real(init, rising_fit if rise else fit, max_iter, rel_tol, counted_margin)
+
+        monkeypatch.setattr(clustering_module, "_lloyd", stubbed)
+        monkeypatch.setattr(nystrom_module, "_lloyd", stubbed)
+        _, trace = run()  # no rise: the margin is never worked out
+        assert trace.iterations > 1 and not margin_calls
+        for factor in (2.0, 0.5):
+            K._lloyd_fits.clear()
+            rise[:] = [factor * margin]
+            if factor > 1:
+                with pytest.raises(InvariantViolated, match="raised the cost"):
+                    run()
+            else:  # a rise within rounding stops the loop as before
+                _, trace = run()
+                c = trace.per_iteration_cost
+                assert trace.converged and trace.iterations == 1 and c[1] == c[0] + rise[0] > c[0]
+        assert len(margin_calls) == 2

@@ -6,6 +6,7 @@ from kkmlab import (
     DistributionSpec,
     KernelSpec,
     MPolicy,
+    RiskReport,
     beta_ratio_study,
     cluster_cost,
     effective_dimension,
@@ -19,7 +20,10 @@ from kkmlab import (
     scaling_fit,
     standard_benchmark,
 )
+from kkmlab import clustering, nystrom, risk, seeding
 from kkmlab.errors import CoefficientDimensionMismatch, NonPositiveRisk
+from kkmlab.risk import exact_vs_nystrom
+from oracle_utils import reference_fit_once
 
 
 def uniform_spec(atoms, kernel=None):
@@ -229,6 +233,47 @@ class TestRunCell:
         P = standard_benchmark(2)
         with pytest.raises(ValueError):
             run_cell(P, 16, 2, "kmedoids", reps=2, master_seed=0)
+
+
+class TestOncePerFit:
+    @pytest.mark.parametrize("method", ["exact_erm_approx", "nystrom"])
+    def test_demo_cell_runs_each_start_once(self, monkeypatch, method):
+        calls = []
+        real_lloyd, real_kernel_lloyd = clustering._lloyd, seeding.kernel_lloyd
+        for module in (clustering, nystrom):
+            monkeypatch.setattr(module, "_lloyd", lambda *a: calls.append(1) or real_lloyd(*a))
+        P, reps = standard_benchmark(2), 3
+        got = run_cell(P, 64, 2, method, MPolicy(), reps=reps, master_seed=42)
+        assert 0 < len(calls) < 20 * reps
+
+        def cold_kernel_lloyd(K, init, **kwargs):  # the memo emptied before every call
+            K.__dict__.pop("_lloyd_fits", None)
+            return real_kernel_lloyd(K, init, **kwargs)
+
+        monkeypatch.setattr(seeding, "kernel_lloyd", cold_kernel_lloyd)
+        monkeypatch.setattr(risk, "_fit_once", reference_fit_once)
+        calls.clear()
+        assert run_cell(P, 64, 2, method, MPolicy(), reps=reps, master_seed=42) == got
+        assert len(calls) == 20 * reps
+
+
+class TestExactVsNystrom:
+    @staticmethod
+    def cell(n, method, excess, se):
+        return CellRecord(n, 2, method, 0.0, 4, 0.0, 0.0, 0.0, True, excess, se, 0.0)
+
+    @pytest.mark.parametrize("overlapping, verdict, status",
+                             [(5, "consistent", 0), (4, "consistent", 0), (3, "violated", 1)])
+    def test_eighty_percent_of_cells_must_overlap(self, overlapping, verdict, status):
+        report = RiskReport()
+        for n in range(1, 6):  # a gap of 1.0 against bands of 2 * (0.2 + 0.3)
+            gap = 1.0 if n <= overlapping else 1.01
+            report.cells += [self.cell(n, "nystrom", gap, 0.3),
+                             self.cell(n, "exact_erm_approx", 0.0, 0.2)]
+        assert exact_vs_nystrom(report, range(1, 6), [2]) == (
+            f"exact_vs_nystrom: {overlapping}/5 cells overlap (2 std_error bands) -> {verdict}",
+            status,
+        )
 
 
 class TestScalingFit:

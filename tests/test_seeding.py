@@ -463,12 +463,22 @@ class TestScreen:
     def test_exact_scores_only_what_the_screen_keeps(self, monkeypatch):
         # one record per center set: its trial labels, the screen's bar and
         # verdict per distinct row, and per block the draws and exact calls
-        sets = []
+        sets, live = [], {}
         real_screen, real_near, real_draw = seeding._screen, seeding._nearest_others, _dsq_draw
+        real_dists = seeding.dists_to_points
+
+        def dists_spy(K, idx):
+            out = real_dists(K, idx)
+            live.setdefault("center_dists", out)  # the first call: the loop's own array
+            return out
 
         def near_spy(center_dists):
-            sets.append({"near": real_near(center_dists), "verdict": {}, "blocks": []})
-            return sets[-1]["near"]
+            # a center set gets near only on its distinct rows; the full rows
+            # are built only for the center sets that score exactly
+            K, full = live["K"], live["center_dists"]
+            assert np.array_equal(center_dists, full[K.distinct.rep])
+            sets.append({"near": real_near(full), "verdict": {}, "blocks": []})
+            return real_near(center_dists)
 
         def draw_spy(rng, d2, size):
             cands = real_draw(rng, d2, size)
@@ -489,6 +499,8 @@ class TestScreen:
 
         def exact_spy(K, near, cand_cols):
             assert cand_cols.shape[1] * K.n * len(near[0]) ** 2 <= _BLOCK_ELEMENTS
+            for a, full in zip(near, sets[-1]["near"]):
+                assert np.array_equal(a, full)
             costs = _swap_costs(K, near, cand_cols)
             sets[-1]["blocks"][-1][1].append((cand_cols.copy(), costs.min(axis=1)))
             return costs
@@ -497,11 +509,14 @@ class TestScreen:
         samples += [half_distinct_sample(inst) for inst in range(4)]  # sets span blocks
         cases = [(inst, K, kernel_kmeanspp(K, k, np.random.default_rng(inst)))
                  for inst, (K, k) in enumerate(samples) if K.distinct is not None]
+        monkeypatch.setattr(seeding, "dists_to_points", dists_spy)
         monkeypatch.setattr(seeding, "_nearest_others", near_spy)
         monkeypatch.setattr(seeding, "_dsq_draw", draw_spy)
         monkeypatch.setattr(seeding, "_screen", screen_spy)
         monkeypatch.setattr(seeding, "_swap_costs", exact_spy)
         for inst, K, seed in cases:
+            live.clear()
+            live["K"] = K
             first = len(sets)
             _outcome(local_search_improve, K, seed, 4 * len(seed.center_indices) + 1,
                      np.random.default_rng(inst))
