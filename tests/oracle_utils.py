@@ -259,12 +259,12 @@ def sequential_local_search(K, seed, rounds, rng):
     return _result_for_centers(K, centers, swaps=swaps), accepted
 
 
-def reference_fit_once(K, k, method, policy, rng, restarts=20):
+def reference_fit_once(K, k, method, policy, rng):
     """``risk._fit_once`` with a Lloyd run for every restart, keeping the
     first strictly lowest cost: the reference for its once-per-start fits."""
     best_cost, best = np.inf, None
     if method != "nystrom":
-        for _ in range(restarts if method == "exact_erm_approx" else 1):
+        for _ in range(20 if method == "exact_erm_approx" else 1):
             a, trace, _ = approximate_erm(K, k, rng=rng)
             if float(trace.per_iteration_cost[-1]) < best_cost:
                 best_cost, best = float(trace.per_iteration_cost[-1]), a.labels
@@ -276,11 +276,10 @@ def reference_fit_once(K, k, method, policy, rng, restarts=20):
         warnings.simplefilter("ignore", SingularLandmarkBlockWarning)
         emb = nystrom_embed(K, L)
     resid = float(np.mean(emb.residuals))
-    for _ in range(restarts):
+    for _ in range(20):
         a, trace = euclidean_lloyd(emb.coords, euclidean_kmeanspp_labels(emb.coords, k, rng))
         if float(trace.per_iteration_cost[-1]) + resid < best_cost:
             best_cost, best = float(trace.per_iteration_cost[-1]) + resid, a
     gamma = np.zeros((k, K.n))
     np.add.at(gamma.T, L.indices, landmark_coefficients(emb, best).T)
     return best_cost, gamma, float(m)
-
