@@ -208,19 +208,23 @@ def kernel_lloyd(
     return K._lloyd_fits[key]
 
 
-def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None):
+def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None, cap=(np.inf,)):
     """Yield the exact-k completions of the prefixes ``rows`` in order, 512
     prefixes at a time (depth-first, so the order stays lexicographic).  The
-    leaves come as ``(prefix, r, b, sums)``: leaf i is the row ``prefix[r[i]]``
+    leaves come as ``(prefix, r, b, cost)``: leaf i is the row ``prefix[r[i]]``
     followed by block ``b[i]``, so a caller builds only the rows it keeps.
 
-    Without a Gram ``K`` the sums stay None.  With one, ``sums = (T, sizes,
+    Without a Gram ``K`` the costs stay None.  With one, ``sums = (T, sizes,
     A)`` carries each prefix's block pair sums T (B, k), block sizes (B, k)
     and block row sums A (B, k, n - p) over the columns p, p+1, ... not yet
     labelled, so placing point p in block b costs O(n): T_b += 2 A_b[p] + K_pp,
-    A_b += K_p.  Leaves carry no A."""
+    A_b += K_p.  A child's partial within-block scatter (sum_{i<=p} K_ii -
+    sum_j T_j / s_j) / n, its cost at a leaf, only grows as points join its
+    blocks, so a child whose scatter exceeds ``cap[0]``, read as the child is
+    made, is dropped with every completion."""
     p = rows.shape[1]
     blocks = np.arange(k)
+    lead = None if K is None else np.trace(K[: p + 1, : p + 1])
     for s in range(0, len(rows), 512):  # small slices stay in cache
         prefix = rows[s : s + 512]
         used = prefix.max(axis=1, keepdims=True, initial=-1) + 1
@@ -234,14 +238,22 @@ def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None):
             T, sizes = T[parent], sizes[parent]
             T[i, b] += 2.0 * A[parent, b, 0] + K[p, p]
             sizes[i, b] += 1
-            A = A[:, :, 1:][parent] if p + 1 < n else None
-            if A is not None:
-                A[i, b] += K[p, p + 1 :]
-            child = (T, sizes, A)
+            cost = (lead - np.sum(T / np.maximum(sizes, 1), axis=1)) / n  # empty blocks add 0
+            live = ~(cost > cap[0])  # a NaN never drops
+            if not live.all():
+                r, b, parent, T, sizes, cost = (a[live] for a in (r, b, parent, T, sizes, cost))
+                if not r.size:
+                    continue
+            if p + 1 == n:
+                child = cost
+            else:
+                A = A[:, :, 1:][parent]
+                A[np.arange(len(r)), b] += K[p, p + 1 :]
+                child = (T, sizes, A)
         if p + 1 == n:
             yield prefix, r, b, child
         else:
-            yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k, K, child)
+            yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k, K, child, cap)
 
 
 def iter_label_chunks(n: int, k: int, chunk: int = 4096):
@@ -261,18 +273,14 @@ def iter_label_chunks(n: int, k: int, chunk: int = 4096):
         yield buf
 
 
-def _scored_partitions(K: GramMatrix, k: int):
-    """Every partition of ``K``'s points into exactly k nonempty blocks, in
-    ``iter_label_chunks``'s order, as ``_grow_partitions``'s leaf levels
-    ``(prefix, r, b)`` with each leaf's cost from the pair sums carried down
-    the prefix tree: O(k) a partition, and within ``kernels._cost_margin(K)``
-    of ``_chunk_costs``'s cost."""
-    n = K.n
-    sums = (np.zeros((1, k)), np.zeros((1, k), dtype=np.int64), np.zeros((1, k, n)))
-    diag_sum = float(np.sum(K.diag))
-    root = np.zeros((1, 0), dtype=np.int64)
-    for prefix, r, b, (T, sizes, _) in _grow_partitions(root, n, k, K.entries, sums):
-        yield prefix, r, b, (diag_sum - np.sum(T / sizes, axis=1)) / n
+def _scored_partitions(K: GramMatrix, k: int, cap=(np.inf,)):
+    """The partitions of ``K``'s points into exactly k nonempty blocks, in
+    ``iter_label_chunks``'s order, as ``_grow_partitions``' leaf levels
+    ``(prefix, r, b, cost)``: O(k) a partition, and within
+    ``kernels._cost_margin(K)`` of ``_chunk_costs``'s cost.  Prefixes whose
+    partial scatter exceeds ``cap[0]`` are dropped."""
+    sums = (np.zeros((1, k)), np.zeros((1, k), dtype=np.int64), np.zeros((1, k, K.n)))
+    yield from _grow_partitions(np.zeros((1, 0), dtype=np.int64), K.n, k, K.entries, sums, cap)
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:
@@ -293,16 +301,25 @@ def brute_force_erm(K: GramMatrix, k: int):
     Guarded to n <= 12 and k <= 4.
 
     A screen scores every partition in O(k) from pair sums shared along the
-    enumeration's prefixes (``_scored_partitions``).  Only the partitions
-    within twice ``kernels._cost_margin`` of the lowest screen cost so far
-    are rescored by ``_chunk_costs``, and the first strict minimum among
-    them wins, in enumeration order.  The two costs differ by at most one
-    margin, so every partition dropped costs more than one already seen and
-    the first minimizer is always rescored: labels and cost are, bit for
-    bit, those of scoring every partition with ``_chunk_costs``.  When every
-    partition ties (all points identical), every one is rescored, and the
-    screen is pure overhead.  A NaN in ``K`` rescores nothing and raises
-    ``InvariantViolated``.
+    enumeration's prefixes (``_scored_partitions``), within one margin m =
+    ``kernels._cost_margin`` of ``_chunk_costs``.  Only the partitions within
+    slack = 2m of the lowest screen cost so far, ``best_fast``, are rescored by
+    ``_chunk_costs``, and the first strict minimum among them wins, in
+    enumeration order.  So every partition not rescored costs more than one
+    already seen, and one that ties the minimal rescored cost c* screens at
+    most c* + m <= best_fast + slack: labels and cost are, bit for bit, those
+    of scoring every partition with ``_chunk_costs``.
+
+    After each batch of leaves, the enumeration drops every prefix whose
+    partial within-block scatter exceeds ``best_fast + 2 slack`` (Koontz,
+    Narendra and Fukunaga, IEEE Trans. Computers, 1975).  That scatter is
+    within m of its exact value, which no completion's exact cost undercuts,
+    so every leaf under a dropped prefix screens above ``best_fast + slack``:
+    the rule above rejects it, and it cannot lower ``best_fast``.  Batches
+    split differently, so the rescored set can differ from the unpruned one,
+    but not the first minimizer or its cost bits.  When every partition ties
+    (all points identical), nothing is pruned and every one is rescored.  A
+    NaN in ``K`` prunes and rescores nothing and raises ``InvariantViolated``.
     """
     n = K.n
     if k < 1:
@@ -312,16 +329,15 @@ def brute_force_erm(K: GramMatrix, k: int):
     if n > 12 or k > 4:
         raise InstanceTooLarge(f"n={n}, k={k} beyond the n<=12, k<=4 guard")
     if k == n:
-        labels = np.arange(n, dtype=np.int64)
-        return Assignment.from_labels(labels, k), 0.0
+        return Assignment.from_labels(np.arange(n), k), 0.0
 
     diag_sum = float(np.sum(K.diag))
     slack = 2.0 * _cost_margin(K)
-    best_fast = np.inf
-    best_cost = np.inf
-    best_labels = None
-    for prefix, r, b, fast in _scored_partitions(K, k):
+    best_fast = best_cost = np.inf
+    best_labels, cap = None, [np.inf]  # cap[0]: the enumeration's pruning bound
+    for prefix, r, b, fast in _scored_partitions(K, k, cap):
         best_fast = min(best_fast, float(fast.min()))
+        cap[0] = best_fast + 2.0 * slack
         keep = fast <= best_fast + slack
         if not keep.any():
             continue

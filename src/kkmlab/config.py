@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelSpec
+from .rademacher import _EXACT_CLASS_LIMIT
 from .risk import METHOD_ALIASES, MPolicy
 
 __all__ = ["ExperimentConfig", "load_config", "OUTPUT_DIR_ENV", "FLAG_KEYS"]
@@ -65,6 +66,9 @@ _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _ALL_AT_LEAST_1 = (lambda v: v and min(v) >= 1, "nonempty with every entry >= 1")
 _EACH_METHOD = (lambda v: v and set(v) <= METHOD_ALIASES.keys(),
                 f"nonempty with every entry one of {', '.join(METHOD_ALIASES)}")
+# rad-check lists a cell's 2^k center sets, for Monte Carlo too, so k stops
+# where exact enumeration does: at 2^16 sets
+_GRID_K_MAX = _EXACT_CLASS_LIMIT.bit_length() - 1
 
 
 @dataclass
@@ -103,7 +107,8 @@ class LabConfig:
     trials: int = _key(10_000, _AT_LEAST_1)
     grid: list[tuple[int, int]] = _key(
         [(2, 4), (2, 8), (4, 8)],
-        (lambda v: v and min(map(min, v)) >= 1, "nonempty with every k, n >= 1"),
+        (lambda v: v and min(map(min, v)) >= 1 and max(k for k, _ in v) <= _GRID_K_MAX,
+         f"nonempty with every k, n >= 1 and k <= {_GRID_K_MAX}"),
         _grid_list,
     )
 

@@ -187,6 +187,8 @@ def local_search_improve(
     whose rows the screen cannot reject are scored exactly, so every accepted
     swap and cost comes from exact scores.  ``_nearest_others`` then runs on
     the distinct rows, spread to all n only when a center set scores exactly.
+    Without a screen, a row drawn again under the same centers would score
+    the same, so only its first draw per center set is scored.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -214,12 +216,15 @@ def local_search_improve(
                 near = _nearest_others(center_dists)
             else:  # copies of a row have the same center distances, so the same near
                 near, near_rep = None, _nearest_others(center_dists[d.rep])
-                verdict = np.full(len(d.rep), -1, dtype=np.int8)  # -1 not yet screened
+            # one verdict per row: -1 not yet screened (or scored), 0 rejected, 1 kept
+            verdict = np.full(K.n if d is None else len(d.rep), -1, dtype=np.int8)
         size = min(rounds, cap)
         state = rng.bit_generator.state
         cands = _dsq_draw(rng, d2, size)
-        if d is None:
-            kept = np.arange(len(cands))
+        if d is None:  # a row drawn again scores the same: only its first draw is kept
+            uniq, first = np.unique(cands, return_index=True)
+            kept = np.sort(first[verdict[uniq] < 0])
+            verdict[uniq] = 0  # scored and rejected below, or reset by a swap
         else:
             rows = d.groups[cands]
             new = np.flatnonzero((np.bincount(rows, minlength=verdict.size) > 0) & (verdict < 0))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kkmlab import cli
 from kkmlab.cli import main
 from kkmlab.config import ExperimentConfig
 
@@ -395,6 +396,16 @@ class TestConfigValidation:
         cfg, _ = config_file(body=BASE_CONFIG.replace(old, new))
         assert main([command, "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, word)
+
+    def test_grid_past_the_class_limit_exits_two(self, config_file, capsys, monkeypatch):
+        # a 30x30 cell lists 2^30 center sets, 8 GiB; the rule refuses it before any cell is built
+        def build(*args):
+            raise AssertionError("a rad-check cell was built")
+
+        monkeypatch.setattr(cli, "lower_bound_construction", build)
+        cfg, _ = config_file(body=BASE_CONFIG.replace("grid = 2x4, 2x8, 4x8", "grid = 2x4, 30x30"))
+        assert main(["rad-check", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[lab] grid")
 
     @pytest.mark.parametrize(
         "command, word", [(["rad-check", "--trials", "0"], "[lab] trials"),

@@ -364,7 +364,9 @@ class TestBruteForceErm:
         assert matches >= 36  # 90% of 40
 
 
-_SCREEN_CASES = [(n, k) for n in range(4, 10) for k in range(1, 5)] + [(11, 3), (12, 3)]
+# (10, 4) and up: the partial-scatter pruning drops most of the tree
+_SCREEN_CASES = [(n, k) for n in range(4, 10) for k in range(1, 5)] + [
+    (11, 3), (12, 3), (10, 4), (11, 4), (12, 4)]
 _SCREEN_KERNELS = [
     KernelSpec("gaussian", bandwidth=1.0),
     KernelSpec("linear"),
@@ -403,6 +405,44 @@ class TestScreenedErm:
                 reference_brute_force_erm(K, 3)
             with pytest.raises(InvariantViolated):
                 brute_force_erm(K, 3)
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-9, 1e-8])
+    def test_rounding_level_ties_keep_the_first_minimizer(self, spread):
+        # (near-)identical points: the partitions' costs differ by rounding
+        # alone, so pruning without its slack would drop tied minimizers
+        for spec in _SCREEN_KERNELS:
+            for seed in range(20):
+                g = np.random.default_rng([seed, 0x7E5])
+                X = 3.0 * g.normal(size=(1, 2)) + spread * g.normal(size=(8, 2))
+                K = gram_matrix(spec, X)
+                a, cost = brute_force_erm(K, 4)
+                want, want_cost = reference_brute_force_erm(K, 4)
+                assert a.labels.tolist() == want.labels.tolist(), (spec.family, seed)
+                assert cost.hex() == want_cost.hex(), (spec.family, seed)
+
+    @staticmethod
+    def screened_leaves(monkeypatch, K, k):
+        """How many partitions ``brute_force_erm`` screens."""
+        leaves, scored = [], clustering_module._scored_partitions
+
+        def spy(*args):
+            for prefix, r, b, fast in scored(*args):
+                leaves.append(len(r))
+                yield prefix, r, b, fast
+
+        monkeypatch.setattr(clustering_module, "_scored_partitions", spy)
+        brute_force_erm(K, k)
+        return sum(leaves)
+
+    def test_partial_scatter_prunes_most_partitions(self, monkeypatch):
+        stirling_12_4 = 611_501
+        for seed in range(6):
+            X = np.random.default_rng([seed, 0x9A27]).normal(size=(12, 3))
+            K = gram_matrix(KernelSpec("gaussian", bandwidth=1.0), X)
+            assert 0 < self.screened_leaves(monkeypatch, K, 4) < 0.05 * stirling_12_4, seed
+        # every partition of identical points ties, so none can be pruned
+        K = gram_matrix(KernelSpec("gaussian", bandwidth=1.0), np.ones((12, 3)))
+        assert self.screened_leaves(monkeypatch, K, 4) == stirling_12_4
 
     @pytest.mark.parametrize("n, k", [(12, 4), (9, 3), (6, 2)])
     def test_chunk_costs_on_row_subsets_match_full_chunk(self, n, k):

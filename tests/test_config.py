@@ -34,6 +34,16 @@ def test_unset_keys_take_the_defaults(tmp_path):
     assert cfg.lab.grid == [(2, 4), (2, 8), (4, 8)] and cfg.run.workers == 1
 
 
+def test_grid_k_stops_at_the_exact_class_limit(tmp_path):
+    # 2^16 center sets is the largest class rad-check may list
+    path = tmp_path / "lab.cfg"
+    path.write_text("[lab]\ngrid = 16x16\n\n[run]\nmaster_seed = 3\n", encoding="utf-8")
+    assert load_config(path).lab.grid == [(16, 16)]
+    path.write_text("[lab]\ngrid = 2x4, 17x17\n\n[run]\nmaster_seed = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[lab\] grid must be .* k <= 16"):
+        load_config(path)
+
+
 def test_flag_beats_environment_beats_file(tmp_path, monkeypatch):
     path = tmp_path / "exp.cfg"
     path.write_text("[nystrom]\nmode = general\n\n[data]\ninline = 50% of 2\n\n"

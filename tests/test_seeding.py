@@ -296,6 +296,9 @@ class TestBlockLoop:
         ids=["first-of-2", "last-of-2", "first-of-4", "last-of-4"],
     )
     def test_accept_at_either_end_of_a_block(self, monkeypatch, first_accept, widths):
+        # widths count distinct rows: a row drawn again under the same centers
+        # is not scored again, so the improver is the kept candidate that
+        # follows ``first_accept`` distinct rows
         seen = []
 
         def spy(K, near, cand_cols):
@@ -308,13 +311,46 @@ class TestBlockLoop:
             K = gram_matrix(KernelSpec("gaussian"), g.normal(size=(24, 2)))
             seed = seeding_from_centers(K, g.choice(24, size=3, replace=False))
             _, accepted = sequential_local_search(K, seed, 15, np.random.default_rng(inst))
-            if accepted[:1] != [first_accept]:
+            d2 = dists_to_points(K, seed.center_indices).min(axis=1)
+            draws = seeding._dsq_draw(np.random.default_rng(inst), d2, 15)
+            if not accepted or len(np.unique(draws[: accepted[0]])) != first_accept:
+                continue
+            if len(np.unique(draws)) < sum(widths):  # the improver's chunk is not full
                 continue
             got = _outcome(local_search_improve, K, seed, 15, np.random.default_rng(inst))
             assert seen[: len(widths) + 1] == widths + [1]  # the width falls back to 1
             assert got == _outcome(sequential_local_search, K, seed, 15, np.random.default_rng(inst))
             return
         pytest.fail(f"no instance accepts its first swap in round {first_accept}")
+
+    def test_redrawn_rows_score_once_and_equal_sequential_loop(self, monkeypatch):
+        # a few points and many rounds: most draws repeat a row under the same centers
+        scored = []
+
+        def spy(K, near, cand_cols):
+            scored.append(cand_cols.shape[1])
+            return _swap_costs(K, near, cand_cols)
+
+        monkeypatch.setattr(seeding, "_swap_costs", spy)
+        for inst in range(90):
+            g = np.random.default_rng([inst, 0x4E9E])
+            n = int(g.integers(5, 13))
+            k = int(g.integers(1, min(4, n - 1) + 1))
+            X = g.normal(size=(n, 2))
+            if inst % 3 == 0:  # at most n/2 distinct points: the screened path
+                X = X[g.integers(max(k, n // 3), size=n)]
+            K = gram_matrix(_SCREEN_SPECS[inst % 3], X)
+            rounds = int(g.integers(25 * k, 201))
+            try:
+                seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
+            except EmptyCluster:
+                continue
+            scored.clear()
+            got = _outcome(local_search_improve, K, seed, rounds, np.random.default_rng(inst))
+            want = _outcome(sequential_local_search, K, seed, rounds, np.random.default_rng(inst))
+            assert got == want, (inst, n, k, rounds)
+            if K.distinct is None and not isinstance(got, str):  # a row once per center set
+                assert sum(scored) <= n * (got[0][2] + 1), inst
 
     def test_zero_weight_draw_raises_where_the_sequential_loop_does(self):
         class ZeroWeightRng(np.random.Generator):
