@@ -7,27 +7,21 @@ sqrt(kn/2) while the single-center coordinate value stays below 3 sqrt(n).
 
 import math
 
-import numpy as np
-
 from kkmlab import (
-    coordinate_rad,
-    finite_class_rad,
     khintchine_check,
     lower_bound_construction,
+    rad_check_cell,
     theorem_bound_value,
 )
 
 print(f"{'k':>3} {'n':>4} {'finite_class':>13} {'sqrt(kn/2)':>11} "
       f"{'coordinate':>11} {'3*sqrt(n)':>10} {'verdict':>9}")
 for k, n in ((2, 4), (2, 8), (4, 8), (4, 16)):
-    inst = lower_bound_construction(k, n)
-    fc = finite_class_rad(inst.data, inst.center_sets(), exact=True)
-    coord = coordinate_rad(inst.data, rng=np.random.default_rng(3))
-    lower = math.sqrt(k * n / 2)
-    upper = 3 * math.sqrt(n)
-    ok = fc.value >= lower and coord.value <= upper + 3 * coord.std_error
-    print(f"{k:>3} {n:>4} {fc.value:>13.6f} {lower:>11.6f} "
-          f"{coord.value:>11.6f} {upper:>10.6f} {'ok' if ok else 'VIOLATED':>9}")
+    (fc, coord, kh), _ = rad_check_cell(lower_bound_construction(k, n), trials=10_000,
+                                        master_seed=3)
+    ok = fc.verdict == coord.verdict == kh.verdict == "satisfied"
+    print(f"{k:>3} {n:>4} {fc.value:>13.6f} {fc.bound:>11.6f} "
+          f"{coord.value:>11.6f} {coord.bound:>10.6f} {'ok' if ok else 'VIOLATED':>9}")
 
 print("\nsign-sum averages per block (half of E|sum| vs sqrt(block/8)):")
 for block in (1, 2, 4, 8, 16):

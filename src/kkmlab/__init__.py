@@ -40,6 +40,8 @@ from .rademacher import (
     lower_bound_construction,
     finite_class_rad,
     khintchine_check,
+    CheckRow,
+    rad_check_cell,
     theorem_bound_value,
 )
 from .risk import (

@@ -8,7 +8,6 @@ take a config file; flags override single values.  Exit status contract:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
@@ -26,12 +25,7 @@ from .nystrom import (
     nystrom_embed,
     sample_landmarks_uniform,
 )
-from .rademacher import (
-    coordinate_rad,
-    finite_class_rad,
-    khintchine_check,
-    lower_bound_construction,
-)
+from .rademacher import lower_bound_construction, rad_check_cell
 from .risk import (METHOD_ALIASES, MPolicy, RiskReport, exact_vs_nystrom, run_cell,
                    scaling_fit, standard_benchmark)
 from .seeding import approximate_erm, kernel_kmeanspp
@@ -155,40 +149,16 @@ def cmd_rad_check(cfg: ExperimentConfig) -> int:
         if n % k != 0:
             print(f"# cell (k={k}, n={n}) skipped: n is not divisible by k")
             continue
-        inst = lower_bound_construction(k, n)
-        exact_ok = n <= 20 and inst.class_size <= 2**16
-        if exact_ok:
-            fc = finite_class_rad(inst.data, inst.center_sets(), exact=True)
-        else:
+        rows, monte_carlo = rad_check_cell(
+            lower_bound_construction(k, n), cfg.lab.trials, cfg.run.master_seed
+        )
+        if monte_carlo:
             print(f"# cell (k={k}, n={n}): exact enumeration too large, "
                   f"falling back to {cfg.lab.trials} Monte Carlo trials")
-            fc = finite_class_rad(
-                inst.data, inst.center_sets(), trials=cfg.lab.trials,
-                rng=np.random.default_rng([cfg.run.master_seed, 0xAB, k, n]),
-            )
-        coord = coordinate_rad(
-            inst.data, trials=cfg.lab.trials,
-            rng=np.random.default_rng([cfg.run.master_seed, 0xAC, k, n]),
-        )
-        kh = khintchine_check(
-            n // k, trials=cfg.lab.trials,
-            rng=np.random.default_rng([cfg.run.master_seed, 0xAD, k, n]),
-        )
-
-        lower = math.sqrt(k * n / 2.0)
-        cbound = 3.0 * math.sqrt(n)
-        checks = [
-            ("finite_class", fc.value, fc.std_error, fc.trials, lower,
-             fc.value >= lower - 3.0 * fc.std_error),
-            ("coordinate", coord.value, coord.std_error, coord.trials, cbound,
-             coord.value <= cbound + 3.0 * coord.std_error),
-            ("khintchine", kh.lhs, 0.0, 0, kh.rhs, kh.lhs >= kh.rhs),
-        ]
-        for name, value, se, trials, bound, ok in checks:
-            verdict = "satisfied" if ok else "violated"
-            violated = violated or not ok
-            lines.append(f"{k},{n},{name},{fmt12(value)},{fmt12(se)},{trials},"
-                         f"{fmt12(bound)},{verdict}")
+        for row in rows:
+            violated = violated or row.verdict == "violated"
+            lines.append(f"{k},{n},{row.estimator},{fmt12(row.value)},{fmt12(row.std_error)},"
+                         f"{row.trials},{fmt12(row.bound)},{row.verdict}")
             print(lines[-1])
 
     (out / "rad_check.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -297,6 +267,10 @@ def main(argv=None) -> int:
         return args.func(cfg)
     except (KKMLabError, OSError) as exc:  # ConfigError is a KKMLabError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        print(f"error: {args.command} ran out of memory: {str(exc) or 'no size reported'}",
+              file=sys.stderr)
         return 2
 
 

@@ -88,6 +88,17 @@ def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int, weights=None):
     return KG, T, sizes
 
 
+def _labeling_linkage(K: GramMatrix, labels: np.ndarray, k: int):
+    """``_cluster_linkage`` of an unweighted labeling, kept on K for the last
+    one: a seed that ``cluster_cost`` scored starts ``kernel_lloyd`` free."""
+    key = (labels.tobytes(), k)
+    last = K._last_linkage
+    if key not in last:
+        last.clear()
+        last[key] = _cluster_linkage(K, labels, k)
+    return last[key]
+
+
 def _linkage_cost(K: GramMatrix, T: np.ndarray, sizes: np.ndarray) -> float:
     """Mean-centroid cost from the per-cluster sums of a populated labeling."""
     cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
@@ -100,7 +111,7 @@ def cluster_cost(K: GramMatrix, a: Assignment) -> float:
         raise ValueError("assignment and Gram matrix disagree on n")
     if np.any(a.cluster_sizes == 0):
         raise EmptyCluster("cluster_cost needs every cluster populated")
-    _, T, sizes = _cluster_linkage(K, a.labels, a.k)
+    _, T, sizes = _labeling_linkage(K, a.labels, a.k)
     return _linkage_cost(K, T, sizes)
 
 
@@ -199,7 +210,7 @@ def kernel_lloyd(
     def fit(labels):
         # one Gram product per step: the linkage of a labeling gives its cost
         # and the next step's point-to-center distances
-        KG, T, sizes = _cluster_linkage(K, labels, init.k)
+        KG, T, sizes = _labeling_linkage(K, labels, init.k)
         return _linkage_cost(K, T, sizes), lambda: _point_center_dists(K, KG, T, sizes)
 
     key = (init.labels.tobytes(), init.k, max_iter, rel_tol)

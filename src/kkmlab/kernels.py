@@ -144,6 +144,11 @@ class GramMatrix:
         """``kernel_lloyd``'s results on this matrix, filled on demand."""
         return {}
 
+    @cached_property
+    def _last_linkage(self) -> dict:
+        """The per-cluster sums of the last labeling scored on this matrix."""
+        return {}
+
 
 def _cost_margin(K: GramMatrix) -> float:
     """``_rounding_margin`` with max|K| as the scale."""

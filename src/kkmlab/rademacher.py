@@ -39,6 +39,8 @@ __all__ = [
     "lower_bound_construction",
     "finite_class_rad",
     "khintchine_check",
+    "CheckRow",
+    "rad_check_cell",
     "theorem_bound_value",
 ]
 
@@ -84,6 +86,11 @@ class KhintchineResult(NamedTuple):
     rhs: float
 
 
+# one estimator's row of a rad-check cell; the verdict is "satisfied" or "violated"
+CheckRow = NamedTuple("CheckRow", [("estimator", str), ("value", float), ("std_error", float),
+                                   ("trials", int), ("bound", float), ("verdict", str)])
+
+
 def _sign_block(start: int, stop: int, n: int) -> np.ndarray:
     """Rows are the +-1 patterns of the integers [start, stop) over n bits."""
     if n > _LOW_BITS and start % _BLOCK == 0 and stop - start == _BLOCK:
@@ -97,33 +104,55 @@ def _sign_block(start: int, stop: int, n: int) -> np.ndarray:
     return (2 * bits - 1).astype(float)
 
 
+@functools.lru_cache(maxsize=1)
+def _grouping(shape: tuple, raw: bytes):
+    """For the (n, d) data in ``raw``: a sign row per vector of per-group
+    plus-counts, in mixed radix, each row's weight (its group's radix
+    stride), and the table row of each code below ``_BLOCK``, the sum of its
+    set bits' weights; None if no row repeats or the vectors outnumber a
+    block.  Kept for the last data: both exact estimators of a cell share it."""
+    _, group, sizes = np.unique(np.frombuffer(raw).reshape(shape), axis=0,
+                                return_inverse=True, return_counts=True)
+    strides = np.cumprod(np.concatenate(([1], sizes + 1)))
+    if len(sizes) == shape[0] or strides[-1] > _BLOCK:
+        return None
+    rank = np.tril(group[:, None] == group[None, :], -1).sum(axis=1)  # within the group
+    plus = np.arange(strides[-1])[:, None] // strides[:-1] % (sizes + 1)
+    signs = np.where(rank < plus[:, group], 1.0, -1.0)
+    weights, low = strides[group], np.zeros(1, dtype=np.int64)
+    for w in weights[:_LOW_BITS]:  # codes with this bit set follow those without
+        low = np.concatenate((low, low + w))
+    return signs, weights, low
+
+
 def _pattern_sum(data: np.ndarray, count: int, values) -> float:
     """Sum over the codes [0, count), block by block, of ``values`` on their
     sign rows; a pattern's value may depend only on how many plus signs each
-    group of identical data rows gets.  When some row repeats and at most
-    ``_BLOCK`` such count vectors exist, ``values`` runs once, on one sign row
-    per count vector in mixed-radix order, and each block gathers from that
-    table by the popcounts of its codes under the groups' bit masks: the block
-    path's values in its order, so every bit of the sum is kept where a value
-    is exact in the counts (integer partial sums, as on basis vectors)."""
+    group of identical data rows gets.  With a ``_grouping``, ``values`` runs
+    once, on its sign rows, and each block gathers from that table at its
+    codes' weight sums: the block path's values in its order, so every bit
+    of the sum is kept where a value is exact in the counts (integer partial
+    sums, as on basis vectors)."""
     n = data.shape[0]
-    _, group, sizes = np.unique(data, axis=0, return_inverse=True, return_counts=True)
-    strides = np.cumprod(np.concatenate(([1], sizes + 1)))
+    grouping = _grouping(data.shape, data.tobytes())
     total = 0.0
-    if len(sizes) == n or strides[-1] > _BLOCK:
+    if grouping is None:
         for start in range(0, count, _BLOCK):
             total += float(values(_sign_block(start, min(start + _BLOCK, count), n)).sum())
         return total
-    rank = np.tril(group[:, None] == group[None, :], -1).sum(axis=1)  # within the group
-    plus = np.arange(strides[-1])[:, None] // strides[:-1] % (sizes + 1)
-    table = values(np.where(rank < plus[:, group], 1.0, -1.0))
-    masks = (group == np.arange(len(sizes))[:, None]) @ (1 << np.arange(n, dtype=np.int64))
-    # blocks start at multiples of _BLOCK: a code's popcount under a mask is
-    # its block start's plus its low bits'
-    low = np.bitwise_count(np.arange(min(count, _BLOCK))[:, None] & masks) @ strides[:-1]
-    for start in range(0, count, _BLOCK):
-        offset = np.bitwise_count(start & masks) @ strides[:-1]
-        total += float(table[low[: count - start] + offset].sum())
+    signs, weights, low = grouping
+    table = values(signs)
+    # blocks start at multiples of _BLOCK: a code's weight sum is its block
+    # start's upper bits' plus its low bits', so a block's values depend only
+    # on that offset and its length, and each distinct block is summed once
+    starts = np.arange(0, count, _BLOCK)
+    offsets = ((starts[:, None] >> np.arange(_LOW_BITS, n)) & 1) @ weights[_LOW_BITS:]
+    sums = {}
+    for start, offset in zip(starts.tolist(), offsets.tolist()):
+        block = (offset, min(count - start, _BLOCK))
+        if block not in sums:
+            sums[block] = float(table[low[: block[1]] + offset].sum())
+        total += sums[block]
     return total
 
 
@@ -136,16 +165,7 @@ def signed_scatter_supremum(data: np.ndarray, sigma: np.ndarray) -> float:
     (attained inside the ball; the s < 0, v = 0 corner gives 0 at c = 0).
     """
     data = np.asarray(data, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    s = float(sigma.sum())
-    v = sigma @ data
-    nv = float(np.linalg.norm(v))
-    base = float(sigma @ np.einsum("ij,ij->i", data, data))
-    if s >= 0.0 or nv > -s:
-        inner = s + 2.0 * nv
-    else:
-        inner = nv * nv / (-s)
-    return base + inner
+    return float(_batch_suprema(data, np.asarray(sigma, dtype=float)[None, :])[0])
 
 
 def _batch_suprema(data: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -210,15 +230,15 @@ def lower_bound_construction(k: int, n: int) -> LowerBoundInstance:
 
 
 def _min_dist_table(data: np.ndarray, center_sets) -> np.ndarray:
-    """(C, n) table of min-over-centers squared distances per class."""
+    """(C, n) table of min-over-centers squared distances per class, from one
+    stacked product: each class's slice is that class's own product."""
+    centers = np.asarray(center_sets, dtype=float)
+    if centers.shape[0] == 0:
+        raise ValueError("center_sets must be nonempty")
     norms2 = np.einsum("ij,ij->i", data, data)
-    rows = []
-    for centers in center_sets:
-        centers = np.asarray(centers, dtype=float)
-        csq = np.einsum("ij,ij->i", centers, centers)
-        d = norms2[:, None] - 2.0 * (data @ centers.T) + csq[None, :]
-        rows.append(np.clip(d, 0.0, None).min(axis=1))
-    return np.asarray(rows)
+    csq = np.einsum("cij,cij->ci", centers, centers)
+    d = norms2[:, None] - 2.0 * (data @ centers.transpose(0, 2, 1)) + csq[:, None, :]
+    return np.clip(d, 0.0, None).min(axis=2)
 
 
 def finite_class_rad(
@@ -239,11 +259,9 @@ def finite_class_rad(
         data = data[:, None]
     n = data.shape[0]
     V = _min_dist_table(data, center_sets)
-    if V.shape[0] == 0:
-        raise ValueError("center_sets must be nonempty")
 
     if exact:
-        if n > 20 or V.shape[0] > _EXACT_CLASS_LIMIT:
+        if 2**n > _EXACT_PATTERN_LIMIT or V.shape[0] > _EXACT_CLASS_LIMIT:
             raise EnumerationTooLarge(
                 f"exact enumeration refused for n={n}, classes={V.shape[0]}"
             )
@@ -281,6 +299,28 @@ def khintchine_check(block: int, trials: int | None = None, rng=None) -> Khintch
         sums = (2.0 * rng.integers(0, 2, size=(trials, block)) - 1.0).sum(axis=1)
         lhs = 0.5 * float(np.abs(sums).mean())
     return KhintchineResult(lhs=float(lhs), rhs=math.sqrt(block / 8.0))
+
+
+def rad_check_cell(inst: LowerBoundInstance, trials: int, master_seed: int):
+    """The sandwich on one construction: the finite class must reach
+    sqrt(kn/2) and the coordinate value stay below 3 sqrt(n), up to three
+    standard errors, and the sign sums over blocks of n/k reach sqrt(block/8).
+    Past the exact limits, ``trials`` patterns are drawn from
+    ``default_rng([master_seed, tag, k, n])``, tags 0xAB, 0xAC and 0xAD in row
+    order.  Returns the three rows and whether the finite class was sampled."""
+    k, n = inst.k, inst.n
+    rng = [np.random.default_rng([master_seed, tag, k, n]) for tag in (0xAB, 0xAC, 0xAD)]
+    monte_carlo = 2**n > _EXACT_PATTERN_LIMIT or inst.class_size > _EXACT_CLASS_LIMIT
+    fc = finite_class_rad(inst.data, inst.center_sets(), trials, rng[0], exact=not monte_carlo)
+    coord = coordinate_rad(inst.data, trials, rng[1])
+    kh = khintchine_check(n // k, trials, rng[2])
+    lower, upper = math.sqrt(k * n / 2.0), 3.0 * math.sqrt(n)
+    rows = [("finite_class", fc.value, fc.std_error, fc.trials, lower,
+             fc.value >= lower - 3.0 * fc.std_error),
+            ("coordinate", coord.value, coord.std_error, coord.trials, upper,
+             coord.value <= upper + 3.0 * coord.std_error),
+            ("khintchine", kh.lhs, 0.0, 0, kh.rhs, kh.lhs >= kh.rhs)]
+    return [CheckRow(*row, "satisfied" if ok else "violated") for *row, ok in rows], monte_carlo
 
 
 def theorem_bound_value(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -180,23 +180,16 @@ class RiskReport:
 
     cells: list[CellRecord] = field(default_factory=list)
 
-    CSV_COLUMNS = (
-        "n,k,method,m_used,reps,mean_empirical_risk,mean_population_risk,"
-        "optimal_risk,optimal_exact,mean_excess_risk,std_error,"
-        "mean_generalization_gap"
-    )
-
     def to_csv(self, path) -> None:
+        """A header of ``CellRecord``'s fields and a row per cell: floats as
+        ``fmt12`` writes them, the exactness flag as 0 or 1."""
+        lines = [",".join(f.name for f in fields(CellRecord))]
+        for c in self.cells:
+            values = (fmt12(v) if isinstance(v, float) else str(int(v) if isinstance(v, bool) else v)
+                      for v in astuple(c))
+            lines.append(",".join(values))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.CSV_COLUMNS + "\n")
-            for c in self.cells:
-                fh.write(
-                    f"{c.n},{c.k},{c.method},{fmt12(c.m_used)},{c.reps},"
-                    f"{fmt12(c.mean_empirical_risk)},{fmt12(c.mean_population_risk)},"
-                    f"{fmt12(c.optimal_risk)},{int(c.optimal_exact)},"
-                    f"{fmt12(c.mean_excess_risk)},{fmt12(c.std_error)},"
-                    f"{fmt12(c.mean_generalization_gap)}\n"
-                )
+            fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from kkmlab.nystrom import (
     nystrom_embed,
     sample_landmarks_uniform,
 )
-from kkmlab.rademacher import _BLOCK, _batch_suprema, _min_dist_table, _sign_block
+from kkmlab.rademacher import _BLOCK, _batch_suprema, _sign_block
 from kkmlab.seeding import _result_for_centers, approximate_erm
 
 
@@ -65,12 +65,24 @@ def reference_coordinate_rad(data) -> float:
     return total / count
 
 
+def reference_min_dist_table(data, center_sets) -> np.ndarray:
+    """One class at a time: the reference for the stacked ``_min_dist_table``."""
+    norms2 = np.einsum("ij,ij->i", data, data)
+    rows = []
+    for centers in center_sets:
+        centers = np.asarray(centers, dtype=float)
+        csq = np.einsum("ij,ij->i", centers, centers)
+        d = norms2[:, None] - 2.0 * (data @ centers.T) + csq[None, :]
+        rows.append(np.clip(d, 0.0, None).min(axis=1))
+    return np.asarray(rows)
+
+
 def reference_finite_class_rad(data, center_sets) -> float:
     """Every complementary pair of sign patterns evaluated block by block: the
     reference for the exact ``finite_class_rad``."""
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    V = _min_dist_table(data, center_sets)
+    V = reference_min_dist_table(data, center_sets)
     half = 2 ** (n - 1)
     total = 0.0
     for start in range(0, half, _BLOCK):

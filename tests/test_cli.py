@@ -4,11 +4,15 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kkmlab.clustering as clustering_module
+import kkmlab.rademacher as rademacher_module
 from kkmlab import cli
+from kkmlab._common import fmt12
 from kkmlab.cli import main
 from kkmlab.config import ExperimentConfig
 
@@ -189,6 +193,34 @@ class TestClusterRegression:
             assert float(summary[key]) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
+class TestClusterLinkage:
+    def test_seed_linkage_is_not_multiplied_twice(self, config_file, monkeypatch, tmp_path):
+        # each restart's seed labeling is scored by cluster_cost; its first
+        # Lloyd step reuses that product instead of making it again
+        cfg, out = config_file(body=REGRESSION_CONFIG.replace("restarts = 1", "restarts = 4"))
+        made = []
+        linkage = clustering_module._cluster_linkage
+
+        def counted(K, labels, k, weights=None):
+            made.append(labels.tobytes())
+            return linkage(K, labels, k, weights)
+
+        monkeypatch.setattr(clustering_module, "_cluster_linkage", counted)
+        assert main(["cluster", "--config", str(cfg), "--method", "lloyd"]) == 0
+        assert len(made) == 7 and len(set(made)) == 7
+        outputs = {f: (out / f).read_bytes() for f in ("assignment.csv", "trace.csv", "summary.txt")}
+
+        # with nothing kept, every labeling is multiplied where it is used,
+        # the four seeds twice
+        made.clear()
+        monkeypatch.setattr(clustering_module, "_labeling_linkage", counted)
+        again = tmp_path / "again"
+        assert main(["cluster", "--config", str(cfg), "--method", "lloyd",
+                     "--output-dir", str(again)]) == 0
+        assert len(made) == 11 and len(set(made)) == 7
+        assert outputs == {f: (again / f).read_bytes() for f in outputs}
+
+
 class TestSpectrumAndEmbed:
     def test_spectrum_prints_modes(self, config_file, capsys):
         cfg, out = config_file()
@@ -208,6 +240,47 @@ class TestSpectrumAndEmbed:
         assert header == [f"z{j}" for j in range(5)] + ["residual"]
         assert len(rows) == 24
         assert all(float(r[-1]) >= 0.0 for r in rows)
+
+
+# `rad-check` rows recorded before the cell logic moved into the library and
+# each distinct block of sign patterns was summed once
+RAD_HEADER = "k,n,estimator,value,std_error,trials,bound,verdict"
+RAD_ROWS = {
+    "2x4": ["2,4,finite_class,2,0,16,2,satisfied",
+            "2,4,coordinate,3.43566017178,0,16,6,satisfied",
+            "2,4,khintchine,0.5,0,0,0.5,satisfied"],
+    "2x8": ["2,8,finite_class,3,0,256,2.82842712475,satisfied",
+            "2,8,coordinate,4.99530985148,0,256,8.48528137424,satisfied",
+            "2,8,khintchine,0.75,0,0,0.707106781187,satisfied"],
+    "4x8": ["4,8,finite_class,4,0,256,4,satisfied",
+            "4,8,coordinate,5.42684721429,0,256,8.48528137424,satisfied",
+            "4,8,khintchine,0.5,0,0,0.5,satisfied"],
+    "4x16": ["4,16,finite_class,6,0,65536,5.65685424949,satisfied",
+             "4,16,coordinate,7.68419184589,0,65536,12,satisfied",
+             "4,16,khintchine,0.75,0,0,0.707106781187,satisfied"],
+    "2x20": ["2,20,finite_class,4.921875,0,1048576,4.472135955,satisfied",
+             "2,20,coordinate,7.98367511498,0,1048576,13.416407865,satisfied",
+             "2,20,khintchine,1.23046875,0,0,1.11803398875,satisfied"],
+    "4x20": ["4,20,finite_class,7.5,0,1048576,6.32455532034,satisfied",
+             "4,20,coordinate,8.6045196142,0,1048576,13.416407865,satisfied",
+             "4,20,khintchine,0.9375,0,0,0.790569415042,satisfied"],
+    "5x20": ["5,20,finite_class,7.5,0,1048576,7.07106781187,satisfied",
+             "5,20,coordinate,8.71113124344,0,1048576,13.416407865,satisfied",
+             "5,20,khintchine,0.75,0,0,0.707106781187,satisfied"],
+}
+RAD_FALLBACK = ("# cell (k=4, n=24): exact enumeration too large, "
+                "falling back to 10000 Monte Carlo trials")
+RAD_MONTE_CARLO_ROWS = {  # the 4x24 cell, by master seed
+    42: ["4,24,finite_class,7.418,0.0577960347962,10000,6.92820323028,satisfied",
+         "4,24,coordinate,9.41550650455,0.101211557549,10000,14.6969384567,satisfied",
+         "4,24,khintchine,0.9375,0,0,0.866025403784,satisfied"],
+    5: ["4,24,finite_class,7.4284,0.0577066750908,10000,6.92820323028,satisfied",
+        "4,24,coordinate,9.44235140301,0.101140725792,10000,14.6969384567,satisfied",
+        "4,24,khintchine,0.9375,0,0,0.866025403784,satisfied"],
+    7: ["4,24,finite_class,7.4324,0.0579043894349,10000,6.92820323028,satisfied",
+        "4,24,coordinate,9.24705351318,0.0994320247175,10000,14.6969384567,satisfied",
+        "4,24,khintchine,0.9375,0,0,0.866025403784,satisfied"],
+}
 
 
 class TestRadCheckCommand:
@@ -241,6 +314,34 @@ class TestRadCheckCommand:
         trials = {r[2]: r[5] for r in rows}
         assert trials["finite_class"] == "3000"
         assert trials["coordinate"] == "3000"
+
+
+    @pytest.mark.parametrize("seed", [42, 5, 7])
+    @pytest.mark.parametrize("grid", ["2x4, 2x8, 4x8, 4x16", "2x20, 4x20, 5x20, 4x24"])
+    def test_outputs_match_recorded(self, config_file, capsys, grid, seed):
+        body = BASE_CONFIG.replace("trials = 4000\ngrid = 2x4, 2x8, 4x8",
+                                   f"trials = 10000\ngrid = {grid}")
+        cfg, out = config_file(body=body)
+        assert main(["rad-check", "--config", str(cfg), "--seed", str(seed)]) == 0
+        want = [RAD_HEADER]
+        for cell in grid.split(", "):
+            if cell == "4x24":
+                want.append(RAD_FALLBACK)
+            want += RAD_ROWS.get(cell) or RAD_MONTE_CARLO_ROWS[seed]
+        assert capsys.readouterr().out.splitlines() == want
+        assert (out / "rad_check.csv").read_text() == "\n".join(
+            line for line in want if not line.startswith("#")) + "\n"
+
+    @pytest.mark.parametrize("seed", [42, 5, 7])
+    def test_cell_rows_match_recorded(self, seed):
+        cells = {(4, 8): False, (4, 24): True}  # the cell fell back to Monte Carlo
+        for (k, n), monte_carlo in cells.items():
+            rows, fell_back = rademacher_module.rad_check_cell(
+                rademacher_module.lower_bound_construction(k, n), 10_000, seed)
+            assert fell_back == monte_carlo
+            got = [f"{k},{n},{r.estimator},{fmt12(r.value)},{fmt12(r.std_error)},{r.trials},"
+                   f"{fmt12(r.bound)},{r.verdict}" for r in rows]
+            assert got == (RAD_MONTE_CARLO_ROWS[seed] if monte_carlo else RAD_ROWS[f"{k}x{n}"])
 
 
 class TestRiskScanCommand:
@@ -406,6 +507,24 @@ class TestConfigValidation:
         cfg, _ = config_file(body=BASE_CONFIG.replace("grid = 2x4, 2x8, 4x8", "grid = 2x4, 30x30"))
         assert main(["rad-check", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "[lab] grid")
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("cluster", cli, "gram_matrix"),
+        ("rad-check", rademacher_module, "coordinate_rad"),
+    ])
+    def test_out_of_memory_exits_two(self, config_file, capsys, monkeypatch, command, module, name):
+        # numpy's own error for an array it cannot allocate, raised before anything is allocated
+        from numpy._core._exceptions import _ArrayMemoryError
+
+        def allocate(*args, **kwargs):
+            raise _ArrayMemoryError((1_000_000, 1_000_000), np.dtype(float))
+
+        monkeypatch.setattr(module, name, allocate)
+        cfg, _ = config_file()
+        assert main([command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, f"error: {command} ran out of memory: Unable to "
+                                           "allocate 7.28 TiB for an array with shape "
+                                           "(1000000, 1000000) and data type float64")
 
     @pytest.mark.parametrize(
         "command, word", [(["rad-check", "--trials", "0"], "[lab] trials"),

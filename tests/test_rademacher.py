@@ -17,7 +17,12 @@ from kkmlab import (
     signed_scatter_supremum,
     theorem_bound_value,
 )
-from oracle_utils import grid_supremum, reference_coordinate_rad, reference_finite_class_rad
+from oracle_utils import (
+    grid_supremum,
+    reference_coordinate_rad,
+    reference_finite_class_rad,
+    reference_min_dist_table,
+)
 
 from kkmlab.errors import (
     EnumerationTooLarge,
@@ -302,8 +307,10 @@ def _block_path_ran(start, stop, n):
 
 class TestGroupedSigns:
     @pytest.mark.parametrize(
-        "k, n", [(2, 20), (4, 20), (5, 20), (2, 4), (2, 8), (4, 8), (4, 16)],
-    )  # the exact cells of the enumeration benchmark's and the demo's grids
+        "k, n", [(2, 20), (4, 20), (5, 20), (2, 4), (2, 8), (4, 8), (4, 16),
+                 (1, 13), (2, 14), (3, 15), (2, 16)],
+    )  # the exact cells of the enumeration benchmark's and the demo's grids, and
+    # 2^(n-1) finite-class codes filling half a block, one block or two
     def test_construction_cells_keep_every_bit(self, monkeypatch, k, n):
         inst = lower_bound_construction(k, n)
         sets = inst.center_sets()
@@ -338,3 +345,77 @@ class TestGroupedSigns:
         sets = rng.normal(size=(3, 2, 2))
         assert coordinate_rad(data).value == reference_coordinate_rad(data)
         assert finite_class_rad(data, sets, exact=True).value == reference_finite_class_rad(data, sets)
+
+
+def _block_rows(data, count):
+    """Each block's table rows, worked out from its codes' bits: the plus
+    count of each group of identical rows, read in mixed radix."""
+    _, group, sizes = np.unique(data, axis=0, return_inverse=True, return_counts=True)
+    strides = np.cumprod(np.concatenate(([1], sizes[:-1] + 1)))
+    member = group[:, None] == np.arange(len(sizes))[None, :]
+    blocks = []
+    for start in range(0, count, rademacher_module._BLOCK):
+        codes = np.arange(start, min(start + rademacher_module._BLOCK, count))
+        bits = (codes[:, None] >> np.arange(len(data))[None, :]) & 1
+        blocks.append((bits @ member) @ strides)
+    return blocks
+
+
+class TestDistinctBlocks:
+    @pytest.mark.parametrize(
+        "k, coordinate, finite", [(2, 7, 6), (4, 12, 10), (5, 15, 12)],
+    )  # the exact cells of the enumeration benchmark: blocks of 2^20 and 2^19 codes
+    def test_each_distinct_block_is_gathered_once(self, k, coordinate, finite):
+        data = lower_bound_construction(k, 20).data
+        for count, want in ((2**20, coordinate), (2**19, finite)):
+            gathered = []
+
+            class Table(np.ndarray):
+                def __getitem__(self, index):
+                    gathered.append(np.array(index))
+                    return np.asarray(self)[index]
+
+            def values(signs):
+                return rademacher_module._batch_suprema(data, signs).view(Table)
+
+            rademacher_module._pattern_sum(data, count, values)
+            blocks = {rows.tobytes() for rows in _block_rows(data, count)}
+            assert len(gathered) == len(blocks) == want
+            assert {rows.tobytes() for rows in gathered} == blocks
+
+    def test_grouping_is_worked_out_once_for_both_estimators(self):
+        inst = lower_bound_construction(4, 16)
+        sets = inst.center_sets()
+        rademacher_module._grouping.cache_clear()
+        both = (coordinate_rad(inst.data).value, finite_class_rad(inst.data, sets, exact=True).value)
+        assert rademacher_module._grouping.cache_info().misses == 1
+        rademacher_module._grouping.cache_clear()
+        alone = finite_class_rad(inst.data, sets, exact=True).value
+        assert both[1].hex() == alone.hex()
+        assert both[0].hex() == reference_coordinate_rad(inst.data).hex()
+
+
+class TestMinDistTable:
+    @pytest.mark.parametrize(
+        "k, n", [(1, 3), (2, 4), (2, 8), (4, 8), (3, 6), (4, 16), (2, 20), (4, 20), (5, 20), (4, 24)],
+    )
+    def test_construction_tables_equal_the_class_loop(self, k, n):
+        inst = lower_bound_construction(k, n)
+        got = rademacher_module._min_dist_table(inst.data, inst.center_sets())
+        want = reference_min_dist_table(inst.data, inst.center_sets())
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_random_classes_equal_the_class_loop(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 21)), int(rng.integers(1, 6))
+            data = rng.normal(size=(n, d))
+            sets = rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 7)), d))
+            got = rademacher_module._min_dist_table(data, sets)
+            want = reference_min_dist_table(data, sets)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sets", [np.zeros((0, 2, 2)), np.zeros((3, 0, 2)), []])
+    def test_an_empty_class_raises(self, sets):
+        with pytest.raises(ValueError):
+            rademacher_module._min_dist_table(np.eye(2), sets)
