@@ -28,8 +28,9 @@ __all__ = [
     "kernel_lloyd",
     "brute_force_erm",
     "random_assignment",
-    "iter_label_chunks",
 ]
+
+_SEARCH_MAX_N, _SEARCH_MAX_K = 12, 4  # the exact search's limit: S(12, 4) = 611,501 leaves
 
 
 @dataclass(frozen=True)
@@ -219,79 +220,94 @@ def kernel_lloyd(
     return K._lloyd_fits[key]
 
 
-def _grow_partitions(rows: np.ndarray, n: int, k: int, K=None, sums=None, cap=(np.inf,)):
-    """Yield the exact-k completions of the prefixes ``rows`` in order, 512
-    prefixes at a time (depth-first, so the order stays lexicographic).  The
-    leaves come as ``(prefix, r, b, cost)``: leaf i is the row ``prefix[r[i]]``
-    followed by block ``b[i]``, so a caller builds only the rows it keeps.
+def _grow_partitions(K: np.ndarray, w: np.ndarray, k: int, cap=(np.inf,), rows=None, sums=None):
+    """Yield the partitions of ``K``'s points, weighted by w >= 0, into exactly
+    k nonempty blocks that complete the prefixes ``rows`` (the empty one by
+    default), in lexicographic order: depth-first, 512 prefixes at a time, as
+    ``(prefix, r, b, cost)``.  Leaf i is the row ``prefix[r[i]]`` followed by
+    block ``b[i]``, so a caller builds only the rows it keeps.
 
-    Without a Gram ``K`` the costs stay None.  With one, ``sums = (T, sizes,
-    A)`` carries each prefix's block pair sums T (B, k), block sizes (B, k)
-    and block row sums A (B, k, n - p) over the columns p, p+1, ... not yet
-    labelled, so placing point p in block b costs O(n): T_b += 2 A_b[p] + K_pp,
-    A_b += K_p.  A child's partial within-block scatter (sum_{i<=p} K_ii -
-    sum_j T_j / s_j) / n, its cost at a leaf, only grows as points join its
-    blocks, so a child whose scatter exceeds ``cap[0]``, read as the child is
-    made, is dropped with every completion."""
+    ``sums = (T, s, A)`` holds each prefix's block pair sums T (B, k), weights
+    s and weighted row sums A (B, k, n - p) over the unlabelled columns, so
+    placing point p in block b costs O(n): T_b += 2 w_p A_b[p] + w_p^2 K_pp,
+    s_b += w_p, A_b += w_p K_p.  The partial scatter sum_{i<=p} w_i K_ii -
+    sum_j T_j / s_j (0 for a weightless block), a leaf's cost, only grows as
+    points join, so a child whose scatter exceeds ``cap[0]``, read as the
+    child is made, is dropped with every completion."""
+    n = len(w)
+    if rows is None:
+        rows, sums = np.zeros((1, 0), dtype=np.int64), (np.zeros((1, k)), np.zeros((1, k)),
+                                                        np.zeros((1, k, n)))
     p = rows.shape[1]
     blocks = np.arange(k)
-    lead = None if K is None else np.trace(K[: p + 1, : p + 1])
+    lead = w[: p + 1] @ np.diagonal(K)[: p + 1]
+    wp, pair = w[p], w[p] * w[p] * K[p, p]
     for s in range(0, len(rows), 512):  # small slices stay in cache
         prefix = rows[s : s + 512]
         used = prefix.max(axis=1, keepdims=True, initial=-1) + 1
         # a child opens at most one new block and leaves room for the rest
         fits = (blocks <= used) & (n - p > k - np.maximum(used, blocks + 1))
         r, b = np.nonzero(fits)  # row-major: children follow their parents' order
-        child = None
-        if K is not None:
-            T, sizes, A = sums
-            parent, i = s + r, np.arange(len(r))
-            T, sizes = T[parent], sizes[parent]
-            T[i, b] += 2.0 * A[parent, b, 0] + K[p, p]
-            sizes[i, b] += 1
-            cost = (lead - np.sum(T / np.maximum(sizes, 1), axis=1)) / n  # empty blocks add 0
-            live = ~(cost > cap[0])  # a NaN never drops
-            if not live.all():
-                r, b, parent, T, sizes, cost = (a[live] for a in (r, b, parent, T, sizes, cost))
-                if not r.size:
-                    continue
-            if p + 1 == n:
-                child = cost
-            else:
-                A = A[:, :, 1:][parent]
-                A[np.arange(len(r)), b] += K[p, p + 1 :]
-                child = (T, sizes, A)
+        parent, i = s + r, np.arange(len(r))
+        T, sizes = sums[0][parent], sums[1][parent]
+        T[i, b] += 2.0 * wp * sums[2][parent, b, 0] + pair
+        sizes[i, b] += wp
+        cost = lead - np.sum(T / np.where(sizes > 0, sizes, 1.0), axis=1)
+        live = ~(cost > cap[0])  # a NaN never drops
+        if not live.all():
+            r, b, parent, T, sizes, cost = (a[live] for a in (r, b, parent, T, sizes, cost))
+            if not r.size:
+                continue
         if p + 1 == n:
-            yield prefix, r, b, child
+            yield prefix, r, b, cost
         else:
-            yield from _grow_partitions(np.column_stack((prefix[r], b)), n, k, K, child, cap)
+            A = sums[2][:, :, 1:][parent]
+            A[np.arange(len(r)), b] += wp * K[p, p + 1 :]
+            yield from _grow_partitions(K, w, k, cap, np.column_stack((prefix[r], b)), (T, sizes, A))
 
 
-def iter_label_chunks(n: int, k: int, chunk: int = 4096):
-    """Every partition of n items into exactly k nonempty blocks, as (B, n)
-    int64 labels: restricted-growth strings in lexicographic order, ``chunk``
-    rows a chunk except the last, nothing when k > n.  ``brute_force_erm``
-    keeps the first minimum in this order, so its tie rule depends on it."""
-    if not 1 <= k <= n:
-        return
-    buf = np.empty((0, n), dtype=np.int64)
-    for prefix, r, b, _ in _grow_partitions(np.zeros((1, 0), dtype=np.int64), n, k):
-        buf = np.concatenate((buf, np.column_stack((prefix[r], b))))
-        full = len(buf) - len(buf) % chunk
-        yield from (buf[s : s + chunk] for s in range(0, full, chunk))
-        buf = buf[full:]
-    if len(buf):
-        yield buf
+def _partition_search(K: np.ndarray, w: np.ndarray, k: int, rescore, slack: float):
+    """The first partition of ``K``'s points, weighted by w >= 0, into exactly
+    k nonempty blocks of least ``rescore(rows)`` cost in ``_grow_partitions``'
+    order, and that cost.  ``slack`` is 2m, where m bounds the gap between a
+    partition's screen and its rescore, in the screen's units.
 
+    Only partitions that screen within slack of the least screen so far,
+    ``best_fast``, are rescored; the first strict minimum among them wins.  So
+    each partition not rescored costs more than one seen, and one that ties
+    the least rescored cost c* screens at most c* + m <= best_fast + slack:
+    labels and cost are, bit for bit, those of rescoring every partition.
+    After each batch of leaves, each prefix whose partial scatter exceeds
+    ``best_fast + 2 slack`` is dropped (Koontz, Narendra and Fukunaga, IEEE
+    Trans. Computers, 1975): that scatter is within m of its exact value, which
+    no completion's exact cost undercuts, so each leaf below would screen above
+    ``best_fast + slack`` and be rejected.  If every partition ties (identical
+    points), nothing is pruned.  A NaN in ``K`` raises ``InvariantViolated``.
 
-def _scored_partitions(K: GramMatrix, k: int, cap=(np.inf,)):
-    """The partitions of ``K``'s points into exactly k nonempty blocks, in
-    ``iter_label_chunks``'s order, as ``_grow_partitions``' leaf levels
-    ``(prefix, r, b, cost)``: O(k) a partition, and within
-    ``kernels._cost_margin(K)`` of ``_chunk_costs``'s cost.  Prefixes whose
-    partial scatter exceeds ``cap[0]`` are dropped."""
-    sums = (np.zeros((1, k)), np.zeros((1, k), dtype=np.int64), np.zeros((1, k, K.n)))
-    yield from _grow_partitions(np.zeros((1, 0), dtype=np.int64), K.n, k, K.entries, sums, cap)
+    ``kernels._rounding_margin`` bounds an unweighted evaluation's error by
+    gamma_{3n+4} max|K| a point, so against the 1/n of ``_chunk_costs``, unit
+    weights take m = n ``_cost_margin``.  Weight products and sums s_j add at
+    most n + 4 roundings, for gamma_{4n+8} max|K| sum(w).  With sum(w) = 1
+    within ``DistributionSpec``'s 1e-12, two such errors stay below
+    4 gamma_{3n+8} max|K|, so m = 2 ``_cost_margin``.
+    """
+    best_fast = best_cost = np.inf
+    best_labels, cap = None, [np.inf]  # cap[0]: the enumeration's pruning bound
+    for prefix, r, b, fast in _grow_partitions(K, w, k, cap):
+        best_fast = min(best_fast, float(fast.min()))
+        cap[0] = best_fast + 2.0 * slack
+        keep = fast <= best_fast + slack
+        if not keep.any():
+            continue
+        near = np.column_stack((prefix[r[keep]], b[keep]))
+        costs = rescore(near)
+        idx = int(np.argmin(costs))
+        if costs[idx] < best_cost:
+            best_cost = float(costs[idx])
+            best_labels = near[idx]
+    if best_labels is None:
+        raise InvariantViolated(f"no partition of {len(w)} points into {k} blocks was scored")
+    return best_labels, best_cost
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:
@@ -309,58 +325,22 @@ def brute_force_erm(K: GramMatrix, k: int):
     Restricting centers to cluster means is lossless (the mean minimizes
     within-cluster scatter, and optimal centers lie in the span of the data),
     so enumerating partitions into exactly k nonempty blocks is exact.
-    Guarded to n <= 12 and k <= 4.
-
-    A screen scores every partition in O(k) from pair sums shared along the
-    enumeration's prefixes (``_scored_partitions``), within one margin m =
-    ``kernels._cost_margin`` of ``_chunk_costs``.  Only the partitions within
-    slack = 2m of the lowest screen cost so far, ``best_fast``, are rescored by
-    ``_chunk_costs``, and the first strict minimum among them wins, in
-    enumeration order.  So every partition not rescored costs more than one
-    already seen, and one that ties the minimal rescored cost c* screens at
-    most c* + m <= best_fast + slack: labels and cost are, bit for bit, those
-    of scoring every partition with ``_chunk_costs``.
-
-    After each batch of leaves, the enumeration drops every prefix whose
-    partial within-block scatter exceeds ``best_fast + 2 slack`` (Koontz,
-    Narendra and Fukunaga, IEEE Trans. Computers, 1975).  That scatter is
-    within m of its exact value, which no completion's exact cost undercuts,
-    so every leaf under a dropped prefix screens above ``best_fast + slack``:
-    the rule above rejects it, and it cannot lower ``best_fast``.  Batches
-    split differently, so the rescored set can differ from the unpruned one,
-    but not the first minimizer or its cost bits.  When every partition ties
-    (all points identical), nothing is pruned and every one is rescored.  A
-    NaN in ``K`` prunes and rescores nothing and raises ``InvariantViolated``.
+    Guarded to n <= 12 and k <= 4.  ``_partition_search`` finds the first
+    partition of least ``_chunk_costs`` cost in restricted-growth order.
     """
     n = K.n
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds n={n}")
-    if n > 12 or k > 4:
-        raise InstanceTooLarge(f"n={n}, k={k} beyond the n<=12, k<=4 guard")
-    if k == n:
-        return Assignment.from_labels(np.arange(n), k), 0.0
+    if n > _SEARCH_MAX_N or k > _SEARCH_MAX_K:
+        raise InstanceTooLarge(f"n={n}, k={k} beyond n<={_SEARCH_MAX_N}, k<={_SEARCH_MAX_K}")
 
     diag_sum = float(np.sum(K.diag))
-    slack = 2.0 * _cost_margin(K)
-    best_fast = best_cost = np.inf
-    best_labels, cap = None, [np.inf]  # cap[0]: the enumeration's pruning bound
-    for prefix, r, b, fast in _scored_partitions(K, k, cap):
-        best_fast = min(best_fast, float(fast.min()))
-        cap[0] = best_fast + 2.0 * slack
-        keep = fast <= best_fast + slack
-        if not keep.any():
-            continue
-        near = np.column_stack((prefix[r[keep]], b[keep]))
-        costs = _chunk_costs(K.entries, diag_sum, near, k)
-        idx = int(np.argmin(costs))
-        if costs[idx] < best_cost:
-            best_cost = float(costs[idx])
-            best_labels = near[idx]
-    if best_labels is None:
-        raise InvariantViolated(f"no partition of {n} points into {k} blocks was scored")
-    return Assignment.from_labels(best_labels, k), max(best_cost, 0.0)
+    labels, cost = _partition_search(
+        K.entries, np.ones(n), k, lambda rows: _chunk_costs(K.entries, diag_sum, rows, k),
+        2.0 * n * _cost_margin(K))
+    return Assignment.from_labels(labels, k), max(cost, 0.0)
 
 
 def random_assignment(n: int, k: int, rng=None) -> Assignment:

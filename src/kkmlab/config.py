@@ -98,7 +98,7 @@ class NystromConfig:
     m: int | None = None
     mode: str = _key("fixed", _one_of(*MPolicy.MODES))
     c_scale: float = _key(1.0, (lambda v: 0 < v < np.inf, "positive and finite"))
-    delta: float = 0.1
+    delta: float = _key(0.1, (lambda v: 0 < v < 1, "in (0, 1)"))
     jitter: float = _key(0.0, (lambda v: 0 <= v < np.inf, ">= 0 and finite"))
 
 

@@ -172,14 +172,17 @@ def _zspace_cost(Z: np.ndarray, labels: np.ndarray, k: int) -> float:
     return cost / Z.shape[0]
 
 
+def _sq_dists(Z: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances ||z_i||^2 - 2 z_i . c_j + ||c_j||^2, unclipped."""
+    return np.einsum("ij,ij->i", Z, Z)[:, None] - 2.0 * (Z @ C.T) + np.einsum("ij,ij->i", C, C)
+
+
 def _zspace_dists(Z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     G = _onehot(labels, k)
     sizes = G.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         centers = (G.T @ Z) / sizes[:, None]
-    sq = np.einsum("ij,ij->i", Z, Z)
-    csq = np.einsum("ij,ij->i", centers, centers)
-    D = sq[:, None] - 2.0 * (Z @ centers.T) + csq[None, :]
+    D = _sq_dists(Z, centers)
     D[:, sizes == 0] = np.inf
     return np.clip(D, 0.0, None)
 
@@ -209,11 +212,7 @@ def euclidean_kmeanspp_labels(Z: np.ndarray, k: int, rng) -> Assignment:
     kernel-space seeding, so seeded runs line up across the two geometries."""
     rng = ensure_rng(rng)
     centers = _dsq_centers(Z.shape[0], k, rng, lambda i: np.sum((Z - Z[i]) ** 2, axis=1))
-    Zc = Z[np.asarray(centers)]
-    sq = np.einsum("ij,ij->i", Z, Z)
-    csq = np.einsum("ij,ij->i", Zc, Zc)
-    dists = sq[:, None] - 2.0 * (Z @ Zc.T) + csq[None, :]
-    labels = np.argmin(dists, axis=1).astype(np.int64)
+    labels = np.argmin(_sq_dists(Z, Z[np.asarray(centers)]), axis=1).astype(np.int64)
     return Assignment.from_labels(labels, k)
 
 

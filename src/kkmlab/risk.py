@@ -18,18 +18,20 @@ import numpy as np
 
 from ._common import ensure_rng, fmt12
 from .clustering import (
+    _SEARCH_MAX_K,
+    _SEARCH_MAX_N,
     _cluster_linkage,
     _onehot,
+    _partition_search,
     _point_center_dists,
     brute_force_erm,
-    iter_label_chunks,
 )
 from .errors import (
     CoefficientDimensionMismatch,
     NonPositiveRisk,
     SingularLandmarkBlockWarning,
 )
-from .kernels import GramMatrix, KernelSpec, capped_effective_dimension, gram_matrix
+from .kernels import GramMatrix, KernelSpec, _cost_margin, capped_effective_dimension, gram_matrix
 from .nystrom import (
     euclidean_kmeanspp_labels,
     euclidean_lloyd,
@@ -223,8 +225,8 @@ def _weighted_partition_costs(K: np.ndarray, w: np.ndarray, chunk: np.ndarray, k
     Gw = _onehot(chunk, k) * w[None, :, None]
     T = np.einsum("bik,bik->bk", Gw, np.matmul(K, Gw))
     Wc = Gw.sum(axis=1)
-    per = np.where(Wc > 0, T / np.where(Wc > 0, Wc, 1.0), 0.0)
-    return float(w @ np.diagonal(K)) - per.sum(axis=1)
+    # a weightless block's T is 0: it adds 0, as in the search's screen
+    return float(w @ np.diagonal(K)) - np.sum(T / np.where(Wc > 0, Wc, 1.0), axis=1)
 
 
 def _weighted_lloyd_labels(K: GramMatrix, w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -254,8 +256,8 @@ def _weighted_mean_centers(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndar
 def optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int = _SURROGATE_RUNS) -> OptimalRisk:
     """Optimal clustering risk of the distribution.
 
-    Exact when the atom count is at most 12 and k at most 4, by weighted
-    partition enumeration (optimal centers are weighted cluster means).
+    Exact when the atom count is at most 12 and k at most 4, by the pruned
+    weighted partition search (optimal centers are weighted cluster means).
     Otherwise a surrogate: the best population risk over ``surrogate_runs``
     seeded approximate fits on the atom set, each polished by a
     weight-aware Lloyd pass.
@@ -274,11 +276,10 @@ def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> O
     N = P.n_atoms
     if k >= N:
         return OptimalRisk(value=0.0, exact=True)
-    if N <= 12 and k <= 4:
-        best = np.inf
-        for chunk in iter_label_chunks(N, k):
-            costs = _weighted_partition_costs(P.gram.entries, P.weights, chunk, k)
-            best = min(best, float(costs.min()))
+    if N <= _SEARCH_MAX_N and k <= _SEARCH_MAX_K:
+        K, w = P.gram.entries, P.weights
+        _, best = _partition_search(K, w, k, lambda rows: _weighted_partition_costs(K, w, rows, k),
+                                    4.0 * _cost_margin(P.gram))  # 2m, m = 2 _cost_margin
         return OptimalRisk(value=max(best, 0.0), exact=True)
 
     seed_base = 0 if P.generator_seed is None else int(P.generator_seed)

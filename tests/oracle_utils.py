@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from kkmlab.clustering import Assignment, _chunk_costs, iter_label_chunks
+from kkmlab.clustering import Assignment, _chunk_costs, _grow_partitions
 from kkmlab.errors import (
     InvariantViolated,
     NonFiniteInput,
@@ -21,6 +21,7 @@ from kkmlab.nystrom import (
     sample_landmarks_uniform,
 )
 from kkmlab.rademacher import _BLOCK, _batch_suprema, _sign_block
+from kkmlab.risk import _weighted_partition_costs
 from kkmlab.seeding import _result_for_centers, approximate_erm
 
 
@@ -145,6 +146,24 @@ def reference_chunk_costs(K, diag_sum, chunk_labels, k):
     return (diag_sum - np.sum(T / sizes, axis=1)) / K.shape[0]
 
 
+def iter_label_chunks(n: int, k: int, chunk: int = 4096):
+    """Every partition of n items into exactly k nonempty blocks, as (B, n)
+    int64 labels: restricted-growth strings in lexicographic order, ``chunk``
+    rows a chunk except the last, nothing when k > n.  The library's
+    enumerator on a zero Gram, where no prefix is pruned; a test pins its
+    order to ``reference_label_chunks``."""
+    if not 1 <= k <= n:
+        return
+    buf = np.empty((0, n), dtype=np.int64)
+    for prefix, r, b, _ in _grow_partitions(np.zeros((n, n)), np.ones(n), k):
+        buf = np.concatenate((buf, np.column_stack((prefix[r], b))))
+        full = len(buf) - len(buf) % chunk
+        yield from (buf[s : s + chunk] for s in range(0, full, chunk))
+        buf = buf[full:]
+    if len(buf):
+        yield buf
+
+
 def reference_brute_force_erm(K, k):
     """Every partition scored by ``_chunk_costs``, the first strict minimum
     kept: the reference for the screened ``brute_force_erm``."""
@@ -163,6 +182,16 @@ def reference_brute_force_erm(K, k):
     if best_labels is None:
         raise InvariantViolated(f"no partition of {n} points into {k} blocks was scored")
     return Assignment.from_labels(best_labels, k), max(best_cost, 0.0)
+
+
+def reference_optimal_risk(P, k: int) -> float:
+    """Every partition of the atoms into k < n_atoms blocks scored by
+    ``_weighted_partition_costs``: the reference for ``optimal_risk``'s exact
+    search."""
+    best = np.inf
+    for chunk in iter_label_chunks(P.n_atoms, k):
+        best = min(best, float(_weighted_partition_costs(P.gram.entries, P.weights, chunk, k).min()))
+    return max(best, 0.0)
 
 
 def _iter_exact_partitions(n: int, k: int):

@@ -470,6 +470,15 @@ class TestConfigValidation:
         assert main([*command, "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "[nystrom] c_scale")
 
+    @pytest.mark.parametrize("delta", ["0", "1.5", "nan"])
+    def test_delta_outside_unit_interval_exits_two_before_writing(self, config_file, capsys, delta):
+        # spectrum used to write spectrum.csv before landmark_size refused the value
+        body = BASE_CONFIG.replace("m = 6\nmode = fixed", f"m = 6\nmode = general\ndelta = {delta}")
+        cfg, out = config_file(body=body)
+        assert main(["spectrum", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "[nystrom] delta")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize(
         "old, new, command, word",
         [("grid = 2x4, 2x8, 4x8", "grid = 0x4", "rad-check", "[lab] grid"),

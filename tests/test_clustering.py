@@ -15,7 +15,6 @@ from kkmlab import (
     random_assignment,
 )
 import kkmlab.clustering as clustering_module
-from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
     EmptyCluster,
@@ -25,8 +24,10 @@ from kkmlab.errors import (
     KTooSmall,
 )
 from kkmlab.kernels import GramMatrix, _cost_margin
+from kkmlab.risk import _weighted_partition_costs
 from oracle_utils import (
     blob_labels,
+    iter_label_chunks,
     reference_brute_force_erm,
     reference_chunk_costs,
     reference_label_chunks,
@@ -422,15 +423,20 @@ class TestScreenedErm:
 
     @staticmethod
     def screened_leaves(monkeypatch, K, k):
-        """How many partitions ``brute_force_erm`` screens."""
-        leaves, scored = [], clustering_module._scored_partitions
+        """How many partitions ``brute_force_erm`` screens: the leaves of the
+        root ``_grow_partitions`` call, which the deeper calls pass up."""
+        leaves, grow = [], clustering_module._grow_partitions
 
-        def spy(*args):
-            for prefix, r, b, fast in scored(*args):
+        def counted(gen):
+            for prefix, r, b, fast in gen:
                 leaves.append(len(r))
                 yield prefix, r, b, fast
 
-        monkeypatch.setattr(clustering_module, "_scored_partitions", spy)
+        def spy(K, w, k, cap, rows=None, sums=None):
+            gen = grow(K, w, k, cap, rows, sums)
+            return gen if rows is not None else counted(gen)
+
+        monkeypatch.setattr(clustering_module, "_grow_partitions", spy)
         brute_force_erm(K, k)
         return sum(leaves)
 
@@ -463,15 +469,25 @@ class TestScreenedErm:
     @pytest.mark.parametrize("spec", _SCREEN_KERNELS, ids=lambda s: s.family)
     @pytest.mark.parametrize("n, k", [(11, 4), (10, 3), (9, 2), (7, 4)])
     def test_screen_costs_within_margin(self, n, k, spec):
+        # the margins _partition_search's slack rests on: n _cost_margin in
+        # the screen's units for unit weights, _cost_margin for weights
+        # summing to 1 (zeros included)
         K = gram_matrix(spec, _screen_points(n, "plain", 7 * n + k))
         diag_sum = float(np.sum(K.diag))
-        screened = [(np.column_stack((prefix[r], b)), fast)
-                    for prefix, r, b, fast in clustering_module._scored_partitions(K, k)]
-        rows = np.concatenate([r for r, _ in screened])
-        np.testing.assert_array_equal(rows, np.concatenate(list(iter_label_chunks(n, k))))
-        for r, fast in screened:
-            exact = clustering_module._chunk_costs(K.entries, diag_sum, r, k)
-            assert np.max(np.abs(fast - exact)) <= _cost_margin(K)
+        w = np.random.default_rng(n + k).random(n)
+        w[::4] = 0.0
+        w /= w.sum()
+        for weights in (np.ones(n), w):
+            screened = [(np.column_stack((prefix[r], b)), fast) for prefix, r, b, fast
+                        in clustering_module._grow_partitions(K.entries, weights, k)]
+            assert sum(len(r) for r, _ in screened) == sum(map(len, iter_label_chunks(n, k)))
+            for r, fast in screened:
+                if weights is w:
+                    gap = fast - _weighted_partition_costs(K.entries, w, r, k)
+                    assert np.max(np.abs(gap)) <= 2.0 * _cost_margin(K)
+                else:
+                    gap = fast - n * clustering_module._chunk_costs(K.entries, diag_sum, r, k)
+                    assert np.max(np.abs(gap)) <= n * _cost_margin(K)
 
 
 _LABEL_CHUNK_CASES = [(n, k) for n in range(1, 11) for k in range(1, 5)] + [(12, 2), (12, 3)]

@@ -1,6 +1,12 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kkmlab
 from kkmlab._common import fmt12, write_float_csv
 
 _SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1 + 0.2,
@@ -41,3 +47,20 @@ class TestWriteFloatCsv:
         path = tmp_path / "t.csv"
         write_float_csv(path, "iteration,cost", np.empty(0), index=True)
         assert path.read_text(encoding="utf-8") == "iteration,cost\n"
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails only on a star import, and perfbench's
+    # tracer wraps what __all__ names
+    for info in pkgutil.iter_modules(kkmlab.__path__):
+        module = importlib.import_module(f"kkmlab.{info.name}")
+        stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not stale, (info.name, stale)
+    tree = ast.parse(Path(kkmlab.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"kkmlab.{node.module}")
+        for alias in node.names:
+            assert hasattr(kkmlab, alias.asname or alias.name), alias.name
+            assert alias.name in module.__all__, (node.module, alias.name)

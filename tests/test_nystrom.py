@@ -16,7 +16,6 @@ from kkmlab import (
     random_assignment,
     sample_landmarks_uniform,
 )
-from kkmlab.clustering import iter_label_chunks
 from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
     InvalidDelta,
@@ -29,7 +28,7 @@ import kkmlab.clustering as clustering_module
 import kkmlab.nystrom as nystrom_module
 from kkmlab.kernels import GramMatrix, _cost_margin, _rounding_margin
 from kkmlab.nystrom import euclidean_kmeanspp_labels, euclidean_lloyd
-from oracle_utils import blob_labels
+from oracle_utils import blob_labels, iter_label_chunks
 
 
 def restricted_optimum(K, L, k):

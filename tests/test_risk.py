@@ -23,7 +23,7 @@ from kkmlab import (
 from kkmlab import clustering, nystrom, risk, seeding
 from kkmlab.errors import CoefficientDimensionMismatch, NonPositiveRisk
 from kkmlab.risk import exact_vs_nystrom
-from oracle_utils import reference_fit_once
+from oracle_utils import reference_fit_once, reference_optimal_risk
 
 
 def uniform_spec(atoms, kernel=None):
@@ -109,6 +109,27 @@ class TestOptimalRisk:
         P = uniform_spec(atoms, KernelSpec("gaussian"))
         vals = [optimal_risk(P, k).value for k in range(1, 6)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_exact_search_equals_exhaustive_reference(self):
+        # the pruned search keeps the bits of scoring every partition
+        kernels = [KernelSpec("gaussian", bandwidth=0.8), KernelSpec("linear"),
+                   KernelSpec("polynomial", degree=3, offset=0.0)]
+        for case in range(48):
+            g = np.random.default_rng([case, 0x0E7])
+            N = 2 + case % 11
+            k = 1 + case % min(4, N - 1)
+            atoms = g.normal(size=(N, 2))
+            atoms /= 1.5 * np.linalg.norm(atoms, axis=1).max()  # norms below 1
+            if case % 4 == 1:
+                atoms[1::3] = atoms[0]  # duplicated atoms
+            elif case % 4 == 2:
+                atoms[:] = atoms[0]  # all identical: every partition ties
+            w = g.random(N)
+            if case % 3 == 0:
+                w[g.choice(N, size=N // 3, replace=False)] = 0.0  # zero-weight atoms
+            P = DistributionSpec(atoms, w / w.sum(), kernels[case % 3])
+            res = optimal_risk(P, k)
+            assert res.exact and res.value.hex() == reference_optimal_risk(P, k).hex(), case
 
     def test_surrogate_flagged_beyond_guard(self):
         P = standard_benchmark(4)  # 24 atoms
