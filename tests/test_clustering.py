@@ -470,7 +470,7 @@ class TestScreenedErm:
     @pytest.mark.parametrize("n, k", [(11, 4), (10, 3), (9, 2), (7, 4)])
     def test_screen_costs_within_margin(self, n, k, spec):
         # the margins _partition_search's slack rests on: n _cost_margin in
-        # the screen's units for unit weights, _cost_margin for weights
+        # the screen's units for unit weights, 2 _cost_margin for weights
         # summing to 1 (zeros included)
         K = gram_matrix(spec, _screen_points(n, "plain", 7 * n + k))
         diag_sum = float(np.sum(K.diag))
