@@ -15,7 +15,7 @@ import numpy as np
 
 from ._common import fmt12, write_float_csv
 from .clustering import kernel_lloyd
-from .config import FLAG_KEYS, ExperimentConfig, load_config
+from .config import FLAG_KEYS, ExperimentConfig, _flag_help, load_config
 from .errors import ConfigError, KKMLabError
 from .kernels import effective_dimension, gram_matrix, spectrum_of
 from .nystrom import (
@@ -39,10 +39,10 @@ def _landmark_policy(section: str, mode: str, m, ny) -> MPolicy:
 
 
 def cmd_cluster(cfg: ExperimentConfig) -> int:
-    points = cfg.load_points()
-    K = gram_matrix(cfg.kernel, points)
-    k = cfg.cluster.k
-    method = cfg.cluster.method
+    k, method, ny = cfg.cluster.k, cfg.cluster.method, cfg.nystrom
+    if method == "nystrom":
+        policy = _landmark_policy("nystrom", ny.mode, ny.m, ny)
+    K = gram_matrix(cfg.kernel, cfg.load_points())
     out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -66,11 +66,10 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
         )
         extra_lines.append(f"swaps_accepted: {swaps}")
     else:  # nystrom
-        ny = cfg.nystrom
-        m = _landmark_policy("nystrom", ny.mode, ny.m, ny).landmarks_for(K, K.n, k)
+        m = policy.landmarks_for(K, K.n, k)
         rng = np.random.default_rng([cfg.run.master_seed, 0xC3])
         L = sample_landmarks_uniform(K.n, m, rng)
-        emb = nystrom_embed(K, L, jitter=cfg.nystrom.jitter)
+        emb = nystrom_embed(K, L, jitter=ny.jitter)
         start = euclidean_kmeanspp_labels(emb.coords, k, rng)
         assignment, ztrace = euclidean_lloyd(
             emb.coords, start, max_iter=cfg.cluster.max_iter, rel_tol=cfg.cluster.rel_tol
@@ -100,8 +99,7 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    points = cfg.load_points()
-    K = gram_matrix(cfg.kernel, points)
+    K = gram_matrix(cfg.kernel, cfg.load_points())
     sp = spectrum_of(K)
     xi = effective_dimension(sp)
     out = cfg.run.output_dir
@@ -112,11 +110,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     print("eigenvalues: " + ",".join(fmt12(v) for v in sp.eigenvalues))
     print("mode,m")
     for mode in ("general", "eigendecay", "linear_k"):
-        m = landmark_size(
-            K.n, k, cfg.nystrom.delta,
-            xi=xi if mode != "eigendecay" else None,
-            mode=mode, c_scale=cfg.nystrom.c_scale,
-        )
+        m = landmark_size(K.n, k, cfg.nystrom.delta, xi=xi, mode=mode, c_scale=cfg.nystrom.c_scale)
         print(f"{mode},{m}")
     return 0
 
@@ -124,8 +118,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 def cmd_nystrom_embed(cfg: ExperimentConfig) -> int:
     ny = cfg.nystrom
     policy = _landmark_policy("nystrom", ny.mode, ny.m, ny)
-    points = cfg.load_points()
-    K = gram_matrix(cfg.kernel, points)
+    K = gram_matrix(cfg.kernel, cfg.load_points())
     m = policy.landmarks_for(K, K.n, cfg.cluster.k)
     rng = np.random.default_rng([cfg.run.master_seed, 0xE3])
     L = sample_landmarks_uniform(K.n, m, rng)
@@ -168,8 +161,6 @@ def cmd_rad_check(cfg: ExperimentConfig) -> int:
 def cmd_risk_scan(cfg: ExperimentConfig) -> int:
     sweep = cfg.sweep
     methods = [METHOD_ALIASES[name] for name in sweep.methods]
-    if sweep.m_mode == "fixed" and sweep.m_fixed is None:
-        raise ConfigError("[sweep] m_mode=fixed needs m_fixed")
     policy = _landmark_policy("sweep", sweep.m_mode, sweep.m_fixed, cfg.nystrom)
 
     bench_kwargs = {}
@@ -216,46 +207,31 @@ def cmd_risk_scan(cfg: ExperimentConfig) -> int:
     return status
 
 
+# each subcommand: its function, help line and FLAG_KEYS besides output_dir and seed
+_COMMANDS = {
+    "cluster": (cmd_cluster, "cluster a dataset and write assignment/trace CSVs",
+                ("method", "m", "k")),
+    "nystrom-embed": (cmd_nystrom_embed, "write the landmark embedding to CSV", ("m",)),
+    "rad-check": (cmd_rad_check, "verify the sign-complexity bound table", ("trials",)),
+    "risk-scan": (cmd_risk_scan, "run the excess-risk sweep and write report.csv",
+                  ("methods", "reps")),
+    "spectrum": (cmd_spectrum, "print eigenvalues, effective dimension, landmark table", ("k",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kkmlab",
         description="Kernel k-means with Nystrom landmarks and its numerical lab",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (func, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="experiment config file (INI)")
-        p.add_argument("--output-dir", default=None, help="override the output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-
-    p = sub.add_parser("cluster", help="cluster a dataset and write assignment/trace CSVs")
-    add_common(p)
-    p.add_argument("--method", choices=["lloyd", "approx", "nystrom"], default=None)
-    p.add_argument("--m", type=int, default=None, help="fixed landmark count")
-    p.add_argument("--k", type=int, default=None, help="cluster count")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("nystrom-embed", help="write the landmark embedding to CSV")
-    add_common(p)
-    p.add_argument("--m", type=int, default=None)
-    p.set_defaults(func=cmd_nystrom_embed)
-
-    p = sub.add_parser("rad-check", help="verify the sign-complexity bound table")
-    add_common(p)
-    p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    p.set_defaults(func=cmd_rad_check)
-
-    p = sub.add_parser("risk-scan", help="run the excess-risk sweep and write report.csv")
-    add_common(p)
-    p.add_argument("--methods", default=None, help="comma-separated method subset")
-    p.add_argument("--reps", type=int, default=None)
-    p.set_defaults(func=cmd_risk_scan)
-
-    p = sub.add_parser("spectrum", help="print eigenvalues, effective dimension, landmark table")
-    add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_spectrum)
-
+        # raw text: load_config parses and checks a flag as the file value it replaces
+        for flag in ("output_dir", "seed", *flags):
+            p.add_argument("--" + flag.replace("_", "-"), help=_flag_help(flag))
+        p.set_defaults(func=func)
     return parser
 
 

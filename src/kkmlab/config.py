@@ -95,7 +95,7 @@ class ClusterConfig:
 
 @dataclass
 class NystromConfig:
-    m: int | None = None
+    m: int | None = _key(None, _AT_LEAST_1)
     mode: str = _key("fixed", _one_of(*MPolicy.MODES))
     c_scale: float = _key(1.0, (lambda v: 0 < v < np.inf, "positive and finite"))
     delta: float = _key(0.1, (lambda v: 0 < v < 1, "in (0, 1)"))
@@ -120,7 +120,7 @@ class SweepConfig:
     methods: list[str] = _key(["exact", "nystrom"], _EACH_METHOD, _str_list)
     reps: int = _key(50, _AT_LEAST_1)
     m_mode: str = _key("general", _one_of(*MPolicy.MODES))
-    m_fixed: int | None = None
+    m_fixed: int | None = _key(None, _AT_LEAST_1)
     benchmark_seed: int | None = _key(None, _AT_LEAST_0)
     benchmark_spread: float | None = None
 
@@ -146,47 +146,38 @@ class ExperimentConfig:
     def load_points(self) -> np.ndarray:
         """Materialize the configured data source as an (n, d) array."""
         d = self.data
-        if d.source == "inline":
-            rows = [r.replace(",", " ").split() for r in d.inline.replace("\n", ";").split(";")]
-            pts = []
-            for i, row in enumerate(filter(None, rows), start=1):
-                try:
-                    pts.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ConfigError(f"inline row {i} is not numeric: {exc}") from None
-                if len(row) != len(pts[0]):
-                    raise ConfigError(f"inline row {i} has {len(row)} values, not {len(pts[0])}")
-            if not pts:
-                raise ConfigError("inline data source is empty")
-            return np.asarray(pts, dtype=float)
-        if d.source == "csv":
-            return _read_points_csv(d.path)
+        if d.source == "inline":  # rows end at ";" or a newline; blank ones are not counted
+            rows = d.inline.replace("\n", ";").split(";")
+            rows = [r for r in rows if r.replace(",", " ").split()]
+            return _parse_rows(rows, "inline", header=False)
+        if d.source == "csv":  # a byte that is not UTF-8 reads as "\ufffd", a non-numeric value
+            with open(d.path, encoding="utf-8", errors="replace") as fh:
+                return _parse_rows(fh, d.path, header=True)
         from .datasets import two_blob_points  # the one synthetic generator
 
         rng = np.random.default_rng([self.run.master_seed, 0xDA7A])
         return two_blob_points(d.n, d.separation, d.spread, d.dim, rng)
 
 
-def _read_points_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+def _parse_rows(lines, where: str, header: bool) -> np.ndarray:
+    """Points from rows of numbers split by commas or spaces; blank rows are
+    skipped.  A file (``header``) skips the non-numeric lines before its first
+    numeric one, and its errors name file lines; inline errors name rows."""
+    rows, unit = [], "line" if header else "row"
+    for i, line in enumerate(lines, start=1):
+        cells = line.replace(",", " ").split()
+        if not cells:
+            continue
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            if header and not rows:
                 continue
-            cells = line.replace(",", " ").split()
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                if rows:
-                    raise ConfigError(f"non-numeric row in {path}: {line!r}") from None
-                continue  # header row
-            if len(cells) != len(rows[0]):
-                raise ConfigError(
-                    f"line {lineno} of {path} has {len(cells)} values, not {len(rows[0])}"
-                )
+            raise ConfigError(f"{where} {unit} {i} is not numeric: {exc}") from None
+        if len(cells) != len(rows[0]):
+            raise ConfigError(f"{where} {unit} {i} has {len(cells)} values, not {len(rows[0])}")
     if not rows:
-        raise ConfigError(f"no numeric rows in {path}")
+        raise ConfigError(f"{where} has no numeric rows")
     return np.asarray(rows, dtype=float)
 
 
@@ -219,6 +210,14 @@ def _section(cp: configparser.ConfigParser, name: str, cls):
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from None
+
+
+def _flag_help(flag: str) -> str:
+    """A flag's help: the ``[section] key`` it overrides and that key's rule."""
+    section, key = FLAG_KEYS[flag]
+    meta = next(f.metadata for f in fields(_hints(ExperimentConfig)[section]) if f.name == key)
+    text = f"override [{section}] {key}" + (f", {meta['rule'][1]}" if meta.get("rule") else "")
+    return text + (": a fixed landmark count, so mode = fixed" if flag == "m" else "")
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

@@ -24,6 +24,7 @@ from .clustering import Assignment, _lloyd, _onehot
 from .errors import (
     EmptyCluster,
     InvalidDelta,
+    KTooSmall,
     MissingXi,
     MTooLarge,
     SingularLandmarkBlockWarning,
@@ -104,6 +105,8 @@ def landmark_size(
     """
     if not 0.0 < delta < 1.0:
         raise InvalidDelta(f"delta must be in (0, 1), got {delta}")
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
     if mode not in ("general", "eigendecay", "linear_k"):
         raise ValueError(f"unknown landmark_size mode {mode!r}")
     if not c_scale > 0:

@@ -296,6 +296,8 @@ def khintchine_check(block: int, trials: int | None = None, rng=None) -> Khintch
     else:
         rng = ensure_rng(rng)
         trials = 10_000 if trials is None else trials
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         sums = (2.0 * rng.integers(0, 2, size=(trials, block)) - 1.0).sum(axis=1)
         lhs = 0.5 * float(np.abs(sums).mean())
     return KhintchineResult(lhs=float(lhs), rhs=math.sqrt(block / 8.0))

@@ -93,7 +93,7 @@ class DistributionSpec:
         weights = np.asarray(self.weights, dtype=float)
         if atoms.shape[0] != weights.shape[0] or atoms.shape[0] < 1:
             raise ValueError("atoms and weights must align and be nonempty")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # NaN fails
             raise ValueError("weights must be nonnegative and sum to 1")
         atoms = atoms.copy()
         weights = weights.copy()
@@ -363,6 +363,8 @@ def run_cell(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     policy = m_policy if m_policy is not None else MPolicy()
     opt = optimal_risk(P, k)
     tag = _cell_tag(n, k, method, policy)

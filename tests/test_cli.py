@@ -1,4 +1,5 @@
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -14,7 +15,7 @@ import kkmlab.rademacher as rademacher_module
 from kkmlab import cli
 from kkmlab._common import fmt12
 from kkmlab.cli import main
-from kkmlab.config import ExperimentConfig
+from kkmlab.config import FLAG_KEYS, ExperimentConfig
 
 BASE_CONFIG = """
 [kernel]
@@ -546,6 +547,59 @@ class TestConfigValidation:
         self.assert_one_line_error(capsys, word)
 
     @pytest.mark.parametrize(
+        "command, word", [(["cluster", "--k", "abc"], "[cluster] k: cannot parse 'abc'"),
+                          (["nystrom-embed", "--m", "1.5"], "[nystrom] m: cannot parse '1.5'"),
+                          (["cluster", "--method", "bogus"], "[cluster] method must be one of"),
+                          (["spectrum", "--seed", "x"], "[run] master_seed: cannot parse 'x'")],
+    )
+    def test_unparsable_flag_exits_two(self, config_file, capsys, command, word):
+        # argparse used to reject these itself: a usage text and SystemExit(2) out of main
+        cfg, _ = config_file()
+        assert main([*command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+
+    @pytest.mark.parametrize("command, old, new, name, word", [
+        (["cluster", "--method", "nystrom"], "m = 6\nmode", "mode", "gram_matrix", "[nystrom]"),
+        (["cluster", "--method", "nystrom", "--m", "0"], "", "", "gram_matrix", "[nystrom] m"),
+        (["nystrom-embed", "--m", "0"], "", "", "gram_matrix", "[nystrom] m"),
+        (["risk-scan"], "m_fixed = 8\n", "", "run_cell", "[sweep]"),
+    ], ids=["cluster-no-m", "cluster-m-0", "embed-m-0", "risk-scan-no-m-fixed"])
+    def test_landmark_policy_is_checked_before_any_work(self, config_file, capsys, monkeypatch,
+                                                         command, old, new, name, word):
+        # cluster --method nystrom used to build its Gram and output directory first
+        def work(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the landmark policy was checked")
+
+        monkeypatch.setattr(cli, name, work)
+        cfg, out = config_file(body=BASE_CONFIG.replace(old, new) if old else None)
+        assert main([*command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, data, word", [
+        ("csv", b"\n# points\nx,y\n\n0,0\n\n0.2\n", "line 7 has 1 values, not 2"),
+        ("csv", b"x,y\n\n", "has no numeric rows"),
+        ("csv", b"x,y\n0,0\n\xff,1\n", "line 3 is not numeric"),
+        ("inline", "x y; 1 2", "inline row 1 is not numeric"),
+        ("inline", "1 2;; 3", "inline row 2 has 1 values, not 2"),
+        ("inline", ",", "inline has no numeric rows"),
+    ], ids=["csv-ragged", "csv-header-only", "csv-not-utf8", "inline-no-header",
+            "inline-blank-row", "inline-empty"])
+    def test_bad_point_rows_exit_two(self, config_file, capsys, tmp_path, source, data, word):
+        # a CSV is numbered by file line, blank lines counted, and skips its header
+        # lines; inline data has no header, and its blank rows are not counted.  A
+        # byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
+        if source == "csv":
+            (tmp_path / "pts.csv").write_bytes(data)
+            data = f"\npath = {tmp_path / 'pts.csv'}"
+        else:
+            data = f"\ninline = {data}"
+        body = BASE_CONFIG.replace("source = synthetic", f"source = {source}{data}")
+        cfg, _ = config_file(body=body)
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+
+    @pytest.mark.parametrize(
         "old, new, word",
         [("restarts = 5", "restarts = 5\nkk = 3", "[cluster] unknown key 'kk'"),
          ("[cluster]", "[clusterr]", "unknown section [clusterr]"),
@@ -730,3 +784,20 @@ def test_any_config_and_flags_keep_the_exit_contract(fuzz_dir, command, edits, f
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert "violated" in out.getvalue()
+
+
+def test_help_lists_each_commands_flags_and_their_rules(capsys):
+    offered = set()
+    for command, flags in COMMAND_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert set(re.findall(r"--[a-z-]+", text)) == {"--help", "--config", "--output-dir",
+                                                       *flags}
+        offered.update(flags)
+        if command == "cluster":
+            assert "--method METHOD override [cluster] method, one of lloyd, approx, nystrom" \
+                in text
+            assert "--m M override [nystrom] m, >= 1: a fixed landmark count" in text
+    assert offered | {"--output-dir"} == {"--" + flag.replace("_", "-") for flag in FLAG_KEYS}

@@ -20,6 +20,7 @@ from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
     InvalidDelta,
     InvariantViolated,
+    KTooSmall,
     MissingXi,
     MTooLarge,
     SingularLandmarkBlockWarning,
@@ -98,6 +99,12 @@ class TestLandmarkSize:
             landmark_size(10, 2, delta=0.1, mode="general")
         with pytest.raises(MissingXi):
             landmark_size(10, 2, delta=0.1, mode="linear_k")
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # used to raise ZeroDivisionError (k = 0) and math's domain error (k = -1)
+        with pytest.raises(KTooSmall):
+            landmark_size(10, k, 0.1, xi=1.0)
 
 
 class TestEmbedding:

@@ -215,6 +215,11 @@ class TestKhintchine:
         assert res.lhs >= res.rhs
         assert res.lhs == pytest.approx(0.5 * math.sqrt(2 * 100 / math.pi), rel=0.05)
 
+    def test_monte_carlo_needs_a_trial(self):
+        # used to return NaN with a "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            khintchine_check(25, trials=0)
+
 
 class TestTheoremBoundValue:
     def test_unit_log_point(self):

@@ -255,6 +255,17 @@ class TestRunCell:
         with pytest.raises(ValueError):
             run_cell(P, 16, 2, "kmedoids", reps=2, master_seed=0)
 
+    def test_fewer_than_one_rep_rejected(self):
+        # used to return a record of NaNs with "Mean of empty slice" warnings
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            run_cell(standard_benchmark(2), 8, 2, "exact_erm_approx", reps=0)
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 0.0], [-0.5, 1.5], [0.5, 0.6]])
+    def test_bad_weights_rejected(self, w):
+        # a NaN weight used to pass both checks and end in optimal_risk's InvariantViolated
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            DistributionSpec([[0.0], [0.5]], w, KernelSpec("linear"))
+
 
 class TestOncePerFit:
     @pytest.mark.parametrize("method", ["exact_erm_approx", "nystrom"])
