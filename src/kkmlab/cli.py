@@ -30,18 +30,19 @@ from .risk import (METHOD_ALIASES, MPolicy, RiskReport, exact_vs_nystrom, run_ce
                    scaling_fit, standard_benchmark)
 from .seeding import approximate_erm, kernel_kmeanspp
 
-def _landmark_policy(section: str, mode: str, m, ny) -> MPolicy:
-    """The landmark policy a config section asks for; a bad one is a ConfigError."""
+def _landmark_policy(key: str, mode: str, m, ny) -> MPolicy:
+    """The landmark policy a config asks for; a bad one is a ConfigError that
+    names ``key``, the ``[section] key`` giving m."""
     try:
         return MPolicy(mode, m=m, c_scale=ny.c_scale, delta=ny.delta)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def cmd_cluster(cfg: ExperimentConfig) -> int:
     k, method, ny = cfg.cluster.k, cfg.cluster.method, cfg.nystrom
     if method == "nystrom":
-        policy = _landmark_policy("nystrom", ny.mode, ny.m, ny)
+        policy = _landmark_policy("[nystrom] m", ny.mode, ny.m, ny)
     K = gram_matrix(cfg.kernel, cfg.load_points())
     out = cfg.run.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -117,7 +118,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 def cmd_nystrom_embed(cfg: ExperimentConfig) -> int:
     ny = cfg.nystrom
-    policy = _landmark_policy("nystrom", ny.mode, ny.m, ny)
+    policy = _landmark_policy("[nystrom] m", ny.mode, ny.m, ny)
     K = gram_matrix(cfg.kernel, cfg.load_points())
     m = policy.landmarks_for(K, K.n, cfg.cluster.k)
     rng = np.random.default_rng([cfg.run.master_seed, 0xE3])
@@ -161,17 +162,12 @@ def cmd_rad_check(cfg: ExperimentConfig) -> int:
 def cmd_risk_scan(cfg: ExperimentConfig) -> int:
     sweep = cfg.sweep
     methods = [METHOD_ALIASES[name] for name in sweep.methods]
-    policy = _landmark_policy("sweep", sweep.m_mode, sweep.m_fixed, cfg.nystrom)
-
-    bench_kwargs = {}
-    if sweep.benchmark_seed is not None:
-        bench_kwargs["seed"] = sweep.benchmark_seed
-    if sweep.benchmark_spread is not None:
-        bench_kwargs["spread"] = sweep.benchmark_spread
+    policy = _landmark_policy("[sweep] m_fixed", sweep.m_mode, sweep.m_fixed, cfg.nystrom)
 
     report = RiskReport()
     for k in sweep.k_values:
-        P = standard_benchmark(k, bandwidth=cfg.kernel.bandwidth, **bench_kwargs)
+        P = standard_benchmark(k, seed=sweep.benchmark_seed, bandwidth=cfg.kernel.bandwidth,
+                               spread=sweep.benchmark_spread)
         for n in sweep.n_values:
             for method in methods:
                 cell = run_cell(

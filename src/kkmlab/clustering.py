@@ -345,6 +345,8 @@ def brute_force_erm(K: GramMatrix, k: int):
 
 def random_assignment(n: int, k: int, rng=None) -> Assignment:
     """Uniform random labels with every cluster guaranteed nonempty."""
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds n={n}")
     rng = ensure_rng(rng)

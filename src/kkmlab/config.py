@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .kernels import KernelSpec
 from .rademacher import _EXACT_CLASS_LIMIT
-from .risk import METHOD_ALIASES, MPolicy
+from .risk import BENCHMARK_SEED, BENCHMARK_SPREAD, METHOD_ALIASES, MPolicy
 
 __all__ = ["ExperimentConfig", "load_config", "OUTPUT_DIR_ENV", "FLAG_KEYS"]
 
@@ -121,8 +121,8 @@ class SweepConfig:
     reps: int = _key(50, _AT_LEAST_1)
     m_mode: str = _key("general", _one_of(*MPolicy.MODES))
     m_fixed: int | None = _key(None, _AT_LEAST_1)
-    benchmark_seed: int | None = _key(None, _AT_LEAST_0)
-    benchmark_spread: float | None = None
+    benchmark_seed: int = _key(BENCHMARK_SEED, _AT_LEAST_0)
+    benchmark_spread: float = BENCHMARK_SPREAD
 
 
 @dataclass

@@ -224,9 +224,6 @@ def nystrom_kkmeans(
     L: LandmarkSet,
     k: int,
     rng=None,
-    max_iter: int = 300,
-    rel_tol: float = 1e-9,
-    jitter: float = 0.0,
     init_labels: Assignment | None = None,
 ):
     """Approximate kernel k-means with centers restricted to the landmark span.
@@ -239,10 +236,10 @@ def nystrom_kkmeans(
     """
     if init_labels is not None and init_labels.n != K.n:
         raise ValueError("init and coordinates disagree on n")
-    emb = nystrom_embed(K, L, jitter=jitter)
+    emb = nystrom_embed(K, L)
     if init_labels is None:
         init_labels = euclidean_kmeanspp_labels(emb.coords, k, rng)
-    assignment, trace = euclidean_lloyd(emb.coords, init_labels, max_iter, rel_tol)
+    assignment, trace = euclidean_lloyd(emb.coords, init_labels)
     cost_projected = float(trace.per_iteration_cost[-1])
     cost_in_h = cost_projected + float(np.mean(emb.residuals))
     return assignment, cost_in_h, cost_projected

@@ -156,6 +156,17 @@ def _pattern_sum(data: np.ndarray, count: int, values) -> float:
     return total
 
 
+def _monte_carlo(n: int, trials: int, rng, values) -> RadEstimate:
+    """Mean of ``values`` over ``trials`` uniform +-1 rows of length n, drawn
+    in one block, with its standard error (0 for a single trial)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    signs = 2.0 * ensure_rng(rng).integers(0, 2, size=(trials, n)) - 1.0
+    vals = values(signs)
+    se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return RadEstimate(value=float(vals.mean()), std_error=se, trials=trials, exact=False)
+
+
 def signed_scatter_supremum(data: np.ndarray, sigma: np.ndarray) -> float:
     """Exact sup over unit-ball centers c of sum_j sigma_j ||phi_j - c||^2.
 
@@ -209,13 +220,7 @@ def coordinate_rad(data, trials: int = 10_000, rng=None, exact: bool | None = No
         total = _pattern_sum(data, count, lambda signs: _batch_suprema(data, signs))
         return RadEstimate(value=total / count, std_error=0.0, trials=count, exact=True)
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = ensure_rng(rng)
-    signs = 2.0 * rng.integers(0, 2, size=(trials, n)) - 1.0
-    vals = _batch_suprema(data, signs)
-    se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return RadEstimate(value=float(vals.mean()), std_error=se, trials=trials, exact=False)
+    return _monte_carlo(n, trials, rng, lambda signs: _batch_suprema(data, signs))
 
 
 def lower_bound_construction(k: int, n: int) -> LowerBoundInstance:
@@ -273,13 +278,7 @@ def finite_class_rad(
         total = _pattern_sum(data, 2 ** (n - 1), pair_values)
         return RadEstimate(value=total / 2**n, std_error=0.0, trials=2**n, exact=True)
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = ensure_rng(rng)
-    signs = 2.0 * rng.integers(0, 2, size=(trials, n)) - 1.0
-    vals = (V @ signs.T).max(axis=0)
-    se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return RadEstimate(value=float(vals.mean()), std_error=se, trials=trials, exact=False)
+    return _monte_carlo(n, trials, rng, lambda signs: (V @ signs.T).max(axis=0))
 
 
 def khintchine_check(block: int, trials: int | None = None, rng=None) -> KhintchineResult:
@@ -293,13 +292,9 @@ def khintchine_check(block: int, trials: int | None = None, rng=None) -> Khintch
     if block <= 20:
         num = sum(math.comb(block, j) * abs(2 * j - block) for j in range(block + 1))
         lhs = num / 2 ** (block + 1)
-    else:
-        rng = ensure_rng(rng)
-        trials = 10_000 if trials is None else trials
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        sums = (2.0 * rng.integers(0, 2, size=(trials, block)) - 1.0).sum(axis=1)
-        lhs = 0.5 * float(np.abs(sums).mean())
+    else:  # halving is exact: the mean of the halves is half the mean
+        lhs = _monte_carlo(block, 10_000 if trials is None else trials, rng,
+                           lambda signs: 0.5 * np.abs(signs.sum(axis=1))).value
     return KhintchineResult(lhs=float(lhs), rhs=math.sqrt(block / 8.0))
 
 

@@ -20,7 +20,9 @@ from ._common import ensure_rng, fmt12
 from .clustering import (
     _SEARCH_MAX_K,
     _SEARCH_MAX_N,
+    Assignment,
     _cluster_linkage,
+    _lloyd,
     _onehot,
     _partition_search,
     _point_center_dists,
@@ -28,6 +30,7 @@ from .clustering import (
 )
 from .errors import (
     CoefficientDimensionMismatch,
+    KTooSmall,
     NonPositiveRisk,
     SingularLandmarkBlockWarning,
 )
@@ -229,18 +232,6 @@ def _weighted_partition_costs(K: np.ndarray, w: np.ndarray, chunk: np.ndarray, k
     return float(w @ np.diagonal(K)) - np.sum(T / np.where(Wc > 0, Wc, 1.0), axis=1)
 
 
-def _weighted_lloyd_labels(K: GramMatrix, w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Weight-aware Lloyd polish on the atom set (used by the surrogate): no
-    empty-cluster repair; stops when the labels repeat or after 100 steps."""
-    for _ in range(100):
-        D = _point_center_dists(K, *_cluster_linkage(K, labels, k, w))
-        new_labels = np.argmin(D, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return labels
-
-
 def _weighted_mean_centers(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """(k, N) coefficient rows for weighted cluster means; empty clusters get
     the origin (coefficients all zero)."""
@@ -266,6 +257,8 @@ def optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int = _SURROGATE_R
     (k, surrogate_runs), so repeated calls with the same ``P`` compute it
     once; an equal but separately built distribution computes it again.
     """
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
     key = (k, surrogate_runs)
     if key not in P._optimal_risks:
         P._optimal_risks[key] = _compute_optimal_risk(P, k, surrogate_runs)
@@ -273,25 +266,30 @@ def optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int = _SURROGATE_R
 
 
 def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> OptimalRisk:
-    N = P.n_atoms
+    N, K, w = P.n_atoms, P.gram, P.weights
     if k >= N:
         return OptimalRisk(value=0.0, exact=True)
+    m = 2.0 * _cost_margin(K)  # bounds a weighted cost's rounding, as _partition_search derives
     if N <= _SEARCH_MAX_N and k <= _SEARCH_MAX_K:
-        K, w = P.gram.entries, P.weights
-        _, best = _partition_search(K, w, k, lambda rows: _weighted_partition_costs(K, w, rows, k),
-                                    4.0 * _cost_margin(P.gram))  # 2m, m = 2 _cost_margin
+        _, best = _partition_search(
+            K.entries, w, k, lambda rows: _weighted_partition_costs(K.entries, w, rows, k), 2.0 * m)
         return OptimalRisk(value=max(best, 0.0), exact=True)
 
     seed_base = 0 if P.generator_seed is None else int(P.generator_seed)
     fits = {}  # the polish is deterministic: each distinct fit is polished once
     for run in range(surrogate_runs):
         rng = np.random.default_rng([seed_base, 0x5EED, k, run])
-        a, _, _ = approximate_erm(P.gram, k, rng=rng)
+        a, _, _ = approximate_erm(K, k, rng=rng)
         fits.setdefault(a.labels.tobytes(), a.labels)
+
+    def fit(labels):  # Lloyd in the weighted geometry: weighted costs and means
+        cost = _weighted_partition_costs(K.entries, w, labels[None], k)[0]
+        return float(cost), lambda: _point_center_dists(K, *_cluster_linkage(K, labels, k, w))
+
     best = np.inf
     for labels in fits.values():
-        polished = _weighted_lloyd_labels(P.gram, P.weights, labels, k)
-        best = min(best, population_risk(P, _weighted_mean_centers(P.weights, polished, k)))
+        a, _ = _lloyd(Assignment.from_labels(labels, k), fit, 100, 0.0, lambda: m)
+        best = min(best, population_risk(P, _weighted_mean_centers(w, a.labels, k)))
     return OptimalRisk(value=max(best, 0.0), exact=False)
 
 

@@ -5,7 +5,13 @@ import warnings
 
 import numpy as np
 
-from kkmlab.clustering import Assignment, _chunk_costs, _grow_partitions
+from kkmlab.clustering import (
+    Assignment,
+    _chunk_costs,
+    _cluster_linkage,
+    _grow_partitions,
+    _point_center_dists,
+)
 from kkmlab.errors import (
     InvariantViolated,
     NonFiniteInput,
@@ -21,7 +27,7 @@ from kkmlab.nystrom import (
     sample_landmarks_uniform,
 )
 from kkmlab.rademacher import _BLOCK, _batch_suprema, _sign_block
-from kkmlab.risk import _weighted_partition_costs
+from kkmlab.risk import _weighted_mean_centers, _weighted_partition_costs, population_risk
 from kkmlab.seeding import _result_for_centers, approximate_erm
 
 
@@ -192,6 +198,33 @@ def reference_optimal_risk(P, k: int) -> float:
     for chunk in iter_label_chunks(P.n_atoms, k):
         best = min(best, float(_weighted_partition_costs(P.gram.entries, P.weights, chunk, k).min()))
     return max(best, 0.0)
+
+
+def reference_weighted_lloyd_labels(K, w, labels, k):
+    """The surrogate's former polish, a weighted Lloyd loop of its own: no
+    empty-cluster repair (an emptied cluster's weighted mean is the origin);
+    stops when the labels repeat or after 100 steps."""
+    for _ in range(100):
+        D = _point_center_dists(K, *_cluster_linkage(K, labels, k, w))
+        new_labels = np.argmin(D, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels
+
+
+def reference_surrogate_risk(P, k: int, runs: int):
+    """``optimal_risk``'s surrogate with the reference polish: the same seeded
+    ``approximate_erm`` fits, each polished, scored by the population risk of
+    its weighted means.  Also returns how many fits the polish moved."""
+    seed_base = 0 if P.generator_seed is None else int(P.generator_seed)
+    best, moved = np.inf, 0
+    for run in range(runs):
+        a, _, _ = approximate_erm(P.gram, k, rng=np.random.default_rng([seed_base, 0x5EED, k, run]))
+        labels = reference_weighted_lloyd_labels(P.gram, P.weights, a.labels, k)
+        moved += not np.array_equal(labels, a.labels)
+        best = min(best, population_risk(P, _weighted_mean_centers(P.weights, labels, k)))
+    return max(best, 0.0), moved
 
 
 def _iter_exact_partitions(n: int, k: int):

@@ -419,6 +419,17 @@ class TestConfigValidation:
         assert main([*command, "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "[nystrom]")
 
+    @pytest.mark.parametrize("command, old, new, key", [
+        (["cluster", "--method", "nystrom"], "m = 6\nmode", "mode", "[nystrom] m"),
+        (["nystrom-embed"], "m = 6\nmode", "mode", "[nystrom] m"),
+        (["risk-scan"], "m_fixed = 8\n", "", "[sweep] m_fixed"),
+    ], ids=["cluster", "nystrom-embed", "risk-scan"])
+    def test_missing_fixed_m_names_its_key(self, config_file, capsys, command, old, new, key):
+        # the sweep's message used to call its key m
+        cfg, _ = config_file(body=BASE_CONFIG.replace(old, new))
+        assert main([*command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, f"error: {key}: fixed m policy needs m >= 1, got None")
+
     @pytest.mark.parametrize("command", [["cluster", "--method", "nystrom"], ["nystrom-embed"]])
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_fixed_landmarks_below_one_exit_two(self, config_file, capsys, command, m):

@@ -312,6 +312,11 @@ class TestBruteForceErm:
         with pytest.raises(KTooSmall, match="k must be >= 1"):
             brute_force_erm(K, k)
 
+    def test_random_assignment_k_below_one_is_an_input_error(self):
+        # used to raise numpy's "high <= 0"
+        with pytest.raises(KTooSmall, match="k must be >= 1, got 0"):
+            random_assignment(5, 0)
+
     def test_enumeration_counts_match_stirling(self):
         # S(6,3) = 90, S(5,2) = 15 exact-k partitions
         assert sum(len(c) for c in iter_label_chunks(6, 3)) == 90

@@ -221,6 +221,36 @@ class TestKhintchine:
             khintchine_check(25, trials=0)
 
 
+class TestMonteCarloBits:
+    # recorded before the three estimators shared one sampler: the draws,
+    # means and standard errors must keep every bit
+    @pytest.mark.parametrize("block, trials, lhs", [
+        (21, 1, "0x1.0000000000000p-1"),
+        (37, 7, "0x1.76db6db6db6dbp+1"),
+        (100, None, "0x1.f98c7e28240b8p+1"),
+    ])
+    def test_khintchine_is_pinned(self, block, trials, lhs):
+        assert khintchine_check(block, trials, np.random.default_rng([block, 3])).lhs.hex() == lhs
+
+    @pytest.mark.parametrize("n, trials, coordinate, finite", [
+        (6, 1, ("0x1.0032933f8c180p+2", "0x0.0p+0"), ("0x1.7675050730890p+0", "0x0.0p+0")),
+        (12, 7, ("0x1.0e54e223258d8p+1", "0x1.200002826ab03p+0"),
+         ("0x1.6637cef6f5d78p+0", "0x1.6ec576d6eba6bp-1")),
+        (25, 500, ("0x1.1de9f2e0c5b86p+2", "0x1.9dc1f6adc0728p-3"),
+         ("0x1.2b5209992edb0p+1", "0x1.51a8c4e0130f0p-3")),
+    ])
+    def test_estimators_are_pinned(self, n, trials, coordinate, finite):
+        g = np.random.default_rng([n, 0xC0])
+        data = g.normal(size=(n, 3))
+        data /= 1.25 * np.linalg.norm(data, axis=1).max()  # norms below 1
+        sets = 0.5 * g.normal(size=(5, 3, 3))
+        c = coordinate_rad(data, trials, np.random.default_rng([n, 1]), exact=False)
+        f = finite_class_rad(data, sets, trials, np.random.default_rng([n, 2]))
+        for est, want in ((c, coordinate), (f, finite)):
+            assert not est.exact and est.trials == trials
+            assert (est.value.hex(), est.std_error.hex()) == want
+
+
 class TestTheoremBoundValue:
     def test_unit_log_point(self):
         n = 100.0

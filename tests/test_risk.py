@@ -21,9 +21,9 @@ from kkmlab import (
     standard_benchmark,
 )
 from kkmlab import clustering, nystrom, risk, seeding
-from kkmlab.errors import CoefficientDimensionMismatch, NonPositiveRisk
+from kkmlab.errors import CoefficientDimensionMismatch, KTooSmall, NonPositiveRisk
 from kkmlab.risk import exact_vs_nystrom
-from oracle_utils import reference_fit_once, reference_optimal_risk
+from oracle_utils import reference_fit_once, reference_optimal_risk, reference_surrogate_risk
 
 
 def uniform_spec(atoms, kernel=None):
@@ -131,6 +131,13 @@ class TestOptimalRisk:
             res = optimal_risk(P, k)
             assert res.exact and res.value.hex() == reference_optimal_risk(P, k).hex(), case
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_an_input_error(self, k):
+        # k = 0 used to raise InvariantViolated, which marks a bug, and k < 0
+        # numpy's "negative dimensions are not allowed"
+        with pytest.raises(KTooSmall, match=f"k must be >= 1, got {k}"):
+            optimal_risk(standard_benchmark(2), k)
+
     def test_surrogate_flagged_beyond_guard(self):
         P = standard_benchmark(4)  # 24 atoms
         res = optimal_risk(P, 4, surrogate_runs=20)
@@ -164,6 +171,25 @@ class TestOptimalRisk:
                 centers[j, members] = w[members] / wj
             best = min(best, population_risk(P, centers))
         assert res.value == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("case", [0, 3, 7, 13, 16, 22, 28, 34, 43, 47])
+    def test_surrogate_polish_equals_reference_loop(self, case):
+        # weighted atoms past the exact guard, where the reference polish
+        # moves labels: the shared Lloyd loop must keep every bit
+        kernels = [KernelSpec("gaussian", bandwidth=0.8), KernelSpec("linear"),
+                   KernelSpec("polynomial", degree=3, offset=0.0)]
+        g = np.random.default_rng([case, 0x5A6])
+        N, k = int(g.integers(13, 31)), int(g.integers(2, 6))
+        atoms = g.normal(size=(N, 2))
+        atoms /= 1.5 * np.linalg.norm(atoms, axis=1).max()  # norms below 1
+        w = g.dirichlet(np.ones(N))
+        if case % 3 == 0:
+            w[g.choice(N, size=N // 3, replace=False)] = 0.0  # zero-weight atoms
+        P = DistributionSpec(atoms, w / w.sum(), kernels[case % 3])
+        want, moved = reference_surrogate_risk(P, k, 30)
+        assert moved > 0
+        res = optimal_risk(P, k, surrogate_runs=30)
+        assert not res.exact and res.value.hex() == want.hex()
 
 
 class TestOptimalRiskCache:
@@ -249,6 +275,11 @@ class TestRunCell:
         v = run_cell(P, 64, 2, "nystrom", policy, reps=25, master_seed=4)
         gap = abs(e.mean_excess_risk - v.mean_excess_risk)
         assert gap <= 2.0 * e.std_error + 2.0 * v.std_error
+
+    def test_k_below_one_rejected(self):
+        # used to raise optimal_risk's InvariantViolated, which marks a bug
+        with pytest.raises(KTooSmall, match="k must be >= 1, got 0"):
+            run_cell(standard_benchmark(2), 8, 0, "nystrom", MPolicy("fixed", m=4), reps=1)
 
     def test_unknown_method_rejected(self):
         P = standard_benchmark(2)
