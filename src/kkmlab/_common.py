@@ -1,6 +1,20 @@
-"""Small shared helpers: RNG coercion and CSV float formatting."""
+"""Small shared helpers: point and RNG coercion, and CSV float formatting."""
 
 import numpy as np
+
+from .errors import NonFiniteInput
+
+
+def as_points(X, name: str) -> np.ndarray:
+    """``X`` as a nonempty, finite (n, d) float array; 1-d is n scalar points."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError(f"{name} must be a nonempty (n, d) array")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput(f"non-finite values in {name}")
+    return X
 
 
 def ensure_rng(rng) -> np.random.Generator:

@@ -63,6 +63,7 @@ def _one_of(*allowed):
 
 _AT_LEAST_0 = (lambda v: v >= 0, ">= 0")  # NaN fails too
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_AT_LEAST_2 = (lambda v: v >= 2, ">= 2")  # a sampled verdict needs a standard error
 _ALL_AT_LEAST_1 = (lambda v: v and min(v) >= 1, "nonempty with every entry >= 1")
 _EACH_METHOD = (lambda v: v and set(v) <= METHOD_ALIASES.keys(),
                 f"nonempty with every entry one of {', '.join(METHOD_ALIASES)}")
@@ -104,7 +105,7 @@ class NystromConfig:
 
 @dataclass
 class LabConfig:
-    trials: int = _key(10_000, _AT_LEAST_1)
+    trials: int = _key(10_000, _AT_LEAST_2)
     grid: list[tuple[int, int]] = _key(
         [(2, 4), (2, 8), (4, 8)],
         (lambda v: v and min(map(min, v)) >= 1 and max(k for k, _ in v) <= _GRID_K_MAX,
@@ -118,7 +119,7 @@ class SweepConfig:
     n_values: list[int] = _key([64, 128, 256], _ALL_AT_LEAST_1, _int_list)
     k_values: list[int] = _key([2], _ALL_AT_LEAST_1, _int_list)
     methods: list[str] = _key(["exact", "nystrom"], _EACH_METHOD, _str_list)
-    reps: int = _key(50, _AT_LEAST_1)
+    reps: int = _key(50, _AT_LEAST_2)
     m_mode: str = _key("general", _one_of(*MPolicy.MODES))
     m_fixed: int | None = _key(None, _AT_LEAST_1)
     benchmark_seed: int = _key(BENCHMARK_SEED, _AT_LEAST_0)

@@ -10,7 +10,7 @@ class KKMLabError(Exception):
 
 
 class NonFiniteInput(KKMLabError):
-    """Input points contain NaN or infinity, or the kernel overflows on them."""
+    """Input points or Gram entries hold NaN or infinity, or the kernel overflows."""
 
 
 class NormalizationViolated(KKMLabError):

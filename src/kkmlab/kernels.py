@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._common import as_points
 from .errors import (
     InvalidDecayParams,
     NonFiniteInput,
@@ -107,6 +108,8 @@ class GramMatrix:
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("Gram matrix must be square")
+        if not np.all(np.isfinite(entries)):
+            raise NonFiniteInput("Gram matrix entries contain non-finite values")
         # exact symmetry so the stored matrix equals its transpose bitwise
         return cls._frozen(0.5 * (entries + entries.T), groups)
 
@@ -207,27 +210,20 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
     elementwise in terms symmetric in (i, j), so K equals K^T bit for bit
     without a symmetrizing copy.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a nonempty (n, d) array")
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("input points contain non-finite values")
-
-    K = X @ X.T
-    if spec.family == "gaussian":
-        sq = np.diagonal(K).copy()
-        for s in range(0, len(K), _GRAM_BLOCK_ROWS):
-            rows = slice(s, s + _GRAM_BLOCK_ROWS)
-            blk = K[rows]  # a view: exp(-(sq_i + sq_j - 2 x_i.x_j) / 2h^2) overwrites it
-            blk *= 2.0
-            np.subtract(sq[rows, None] + sq[None, :], blk, out=blk)
-            np.clip(blk, 0.0, None, out=blk)
-            np.divide(blk, -2.0 * spec.bandwidth**2, out=blk)  # (-a) / c == a / (-c) exactly
-            np.exp(blk, out=blk)
-    elif spec.family == "polynomial":
-        with np.errstate(over="ignore", invalid="ignore"):
+    X = as_points(X, "X")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        K = X @ X.T
+        if spec.family == "gaussian":
+            sq = np.diagonal(K).copy()
+            for s in range(0, len(K), _GRAM_BLOCK_ROWS):
+                rows = slice(s, s + _GRAM_BLOCK_ROWS)
+                blk = K[rows]  # a view: exp(-(sq_i + sq_j - 2 x_i.x_j) / 2h^2) overwrites it
+                blk *= 2.0
+                np.subtract(sq[rows, None] + sq[None, :], blk, out=blk)
+                np.clip(blk, 0.0, None, out=blk)
+                np.divide(blk, -2.0 * spec.bandwidth**2, out=blk)  # (-a) / c == a / (-c) exactly
+                np.exp(blk, out=blk)
+        elif spec.family == "polynomial":
             K += spec.offset
             K **= spec.degree
     if not (np.isfinite(K.min()) and np.isfinite(K.max())):  # no n x n temporary

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import ensure_rng
+from ._common import as_points, ensure_rng
 from .errors import (
     EnumerationTooLarge,
     InvalidLogArgument,
@@ -203,9 +203,7 @@ def coordinate_rad(data, trials: int = 10_000, rng=None, exact: bool | None = No
     vectors is enumerated exactly when 2^n <= 2^20 (the default), otherwise
     estimated by Monte Carlo with ``trials`` draws.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = as_points(data, "data")
     n = data.shape[0]
     norms = np.linalg.norm(data, axis=1)
     if np.any(norms > 1.0 + 1e-9):
@@ -259,9 +257,7 @@ def finite_class_rad(
     single-member class comes out exactly zero; it is guarded to n <= 20 and
     at most 2^16 classes.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = as_points(data, "data")
     n = data.shape[0]
     V = _min_dist_table(data, center_sets)
 
@@ -281,36 +277,31 @@ def finite_class_rad(
     return _monte_carlo(n, trials, rng, lambda signs: (V @ signs.T).max(axis=0))
 
 
-def khintchine_check(block: int, trials: int | None = None, rng=None) -> KhintchineResult:
-    """Half the expected absolute sign sum over a block, against sqrt(block/8).
-
-    Exact for block <= 20 via the binomial distribution of the sign sum;
-    Monte Carlo with ``trials`` draws (default 10^4) beyond that.
-    """
+def khintchine_check(block: int) -> KhintchineResult:
+    """Half the expected absolute sign sum over a block, exact at every block
+    by de Moivre's E|S_b| = b C(b-1, floor((b-1)/2)) / 2^(b-1) and rounded once,
+    against sqrt(block/8), half of Szarek's optimal L1 Khintchine bound."""
     if block < 1:
         raise ValueError("block must be >= 1")
-    if block <= 20:
-        num = sum(math.comb(block, j) * abs(2 * j - block) for j in range(block + 1))
-        lhs = num / 2 ** (block + 1)
-    else:  # halving is exact: the mean of the halves is half the mean
-        lhs = _monte_carlo(block, 10_000 if trials is None else trials, rng,
-                           lambda signs: 0.5 * np.abs(signs.sum(axis=1))).value
-    return KhintchineResult(lhs=float(lhs), rhs=math.sqrt(block / 8.0))
+    lhs = block * math.comb(block - 1, (block - 1) // 2) / 2**block
+    return KhintchineResult(lhs=lhs, rhs=math.sqrt(block / 8.0))
 
 
 def rad_check_cell(inst: LowerBoundInstance, trials: int, master_seed: int):
     """The sandwich on one construction: the finite class must reach
     sqrt(kn/2) and the coordinate value stay below 3 sqrt(n), up to three
-    standard errors, and the sign sums over blocks of n/k reach sqrt(block/8).
-    Past the exact limits, ``trials`` patterns are drawn from
-    ``default_rng([master_seed, tag, k, n])``, tags 0xAB, 0xAC and 0xAD in row
+    standard errors, and the exact sign sums over blocks of n/k reach
+    sqrt(block/8).  Past the exact limits, ``trials`` >= 2 patterns are drawn
+    from ``default_rng([master_seed, tag, k, n])``, tags 0xAB and 0xAC in row
     order.  Returns the three rows and whether the finite class was sampled."""
     k, n = inst.k, inst.n
-    rng = [np.random.default_rng([master_seed, tag, k, n]) for tag in (0xAB, 0xAC, 0xAD)]
+    rng = [np.random.default_rng([master_seed, tag, k, n]) for tag in (0xAB, 0xAC)]
     monte_carlo = 2**n > _EXACT_PATTERN_LIMIT or inst.class_size > _EXACT_CLASS_LIMIT
+    if monte_carlo and trials < 2:
+        raise ValueError(f"a sampled cell needs trials >= 2, got {trials}")
     fc = finite_class_rad(inst.data, inst.center_sets(), trials, rng[0], exact=not monte_carlo)
     coord = coordinate_rad(inst.data, trials, rng[1])
-    kh = khintchine_check(n // k, trials, rng[2])
+    kh = khintchine_check(n // k)
     lower, upper = math.sqrt(k * n / 2.0), 3.0 * math.sqrt(n)
     rows = [("finite_class", fc.value, fc.std_error, fc.trials, lower,
              fc.value >= lower - 3.0 * fc.std_error),

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._common import ensure_rng, fmt12
+from ._common import as_points, ensure_rng, fmt12
 from .clustering import (
     _SEARCH_MAX_K,
     _SEARCH_MAX_N,
@@ -90,12 +90,10 @@ class DistributionSpec:
     generator_seed: int | None = None
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
+        atoms = as_points(self.atoms, "atoms")
         weights = np.asarray(self.weights, dtype=float)
-        if atoms.shape[0] != weights.shape[0] or atoms.shape[0] < 1:
-            raise ValueError("atoms and weights must align and be nonempty")
+        if atoms.shape[0] != weights.shape[0]:
+            raise ValueError("atoms and weights must align")
         if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # NaN fails
             raise ValueError("weights must be nonnegative and sum to 1")
         atoms = atoms.copy()
@@ -444,6 +442,8 @@ def exact_vs_nystrom(report, n_values, k_values):
     by_key = {(c.n, c.k, c.method): c for c in report.cells}
     pairs = [(by_key[n, k, "exact_erm_approx"], by_key[n, k, "nystrom"])
              for k in k_values for n in n_values]
+    if any(c.reps < 2 for pair in pairs for c in pair):
+        raise ValueError("every cell needs reps >= 2: one rep has no std_error band")
     overlapping = sum(abs(e.mean_excess_risk - v.mean_excess_risk)
                       <= 2.0 * e.std_error + 2.0 * v.std_error for e, v in pairs)
     verdict = "consistent" if overlapping / len(pairs) >= 0.8 else "violated"

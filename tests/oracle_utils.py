@@ -100,6 +100,13 @@ def reference_finite_class_rad(data, center_sets) -> float:
     return total / 2**n
 
 
+def reference_khintchine_lhs(block: int) -> float:
+    """Half of E|S_b| from the binomial law of the sign sum: the sum that
+    ``khintchine_check`` used up to block 20 before its closed form."""
+    num = sum(math.comb(block, j) * abs(2 * j - block) for j in range(block + 1))
+    return num / 2 ** (block + 1)
+
+
 def _labels_cost(K, labels, k):
     """Mean-centroid cost of a labeling, or +inf if some cluster is empty."""
     sizes = np.bincount(labels, minlength=k)

@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -333,6 +334,15 @@ class TestRadCheckCommand:
         assert (out / "rad_check.csv").read_text() == "\n".join(
             line for line in want if not line.startswith("#")) + "\n"
 
+    def test_khintchine_row_is_exact_past_block_twenty(self, config_file, capsys):
+        # its Monte Carlo mean read 1.8538,0,0 at seed 42
+        body = BASE_CONFIG.replace("trials = 4000\ngrid = 2x4, 2x8, 4x8",
+                                   "trials = 10000\ngrid = 1x22")
+        cfg, out = config_file(body=body)
+        assert main(["rad-check", "--config", str(cfg)]) == 0
+        _, rows = read_csv(out / "rad_check.csv")
+        assert ",".join(rows[2][2:7]) == "khintchine,1.85006904602,0,0,1.65831239518"
+
     @pytest.mark.parametrize("seed", [42, 5, 7])
     def test_cell_rows_match_recorded(self, seed):
         cells = {(4, 8): False, (4, 24): True}  # the cell fell back to Monte Carlo
@@ -529,6 +539,24 @@ class TestConfigValidation:
         assert main(["rad-check", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "[lab] grid")
 
+    @pytest.mark.parametrize("command, old, new, name, word", [
+        ("rad-check", "trials = 4000\ngrid = 2x4, 2x8, 4x8",
+         "trials = 1\ngrid = 1x22, 1x24, 1x26, 2x44", "lower_bound_construction",
+         "[lab] trials must be >= 2, got 1"),
+        ("risk-scan", "reps = 3", "reps = 1", "run_cell", "[sweep] reps must be >= 2, got 1"),
+    ], ids=["rad-check", "risk-scan"])
+    def test_single_draw_verdict_exits_two(self, config_file, capsys, monkeypatch,
+                                           command, old, new, name, word):
+        # one draw has std_error 0: these used to exit 1 with violated finite-class
+        # rows, or with "0/3 cells overlap", and now stop before any cell is built
+        def build(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(cli, name, build)
+        cfg, _ = config_file(body=BASE_CONFIG.replace(old, new))
+        assert main([command, "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, word)
+
     @pytest.mark.parametrize("command, module, name", [
         ("cluster", cli, "gram_matrix"),
         ("rad-check", rademacher_module, "coordinate_rad"),
@@ -550,7 +578,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "command, word", [(["rad-check", "--trials", "0"], "[lab] trials"),
                           (["risk-scan", "--reps", "-1"], "[sweep] reps"),
-                          (["spectrum", "--seed", "-1"], "[run] master_seed")],
+                          (["spectrum", "--seed", "-1"], "[run] master_seed"),
+                          (["rad-check", "--trials", "1"], "[lab] trials must be >= 2, got 1"),
+                          (["risk-scan", "--reps", "1"], "[sweep] reps must be >= 2, got 1")],
     )
     def test_out_of_range_flag_exits_two(self, config_file, capsys, command, word):
         cfg, _ = config_file()
@@ -708,6 +738,16 @@ class TestConfigValidation:
         cfg, _ = config_file(body=body)
         assert main(["cluster", "--config", str(cfg)]) == 2
         self.assert_one_line_error(capsys, "overflows")
+
+    def test_overflowing_gaussian_prints_only_its_error(self, config_file, capsys):
+        # numpy used to warn of overflow in matmul and an invalid subtract first
+        body = BASE_CONFIG.replace("source = synthetic",
+                                   "source = inline\ninline = 0 0; 1e200 1e200; 1 1; 2 2")
+        cfg, _ = config_file(body=body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end main in a traceback
+            assert main(["cluster", "--config", str(cfg)]) == 2
+        self.assert_one_line_error(capsys, "the gaussian kernel overflows")
 
     def test_empty_sweep_grid_rejected(self, config_file):
         body = BASE_CONFIG.replace("n_values = 16, 24, 32", "n_values =")

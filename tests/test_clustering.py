@@ -19,9 +19,9 @@ from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
     EmptyCluster,
     InstanceTooLarge,
-    InvariantViolated,
     KTooLarge,
     KTooSmall,
+    NonFiniteInput,
 )
 from kkmlab.kernels import GramMatrix, _cost_margin
 from kkmlab.risk import _weighted_partition_costs
@@ -402,15 +402,14 @@ class TestScreenedErm:
             assert cost.hex() == want_cost.hex(), layout
 
     def test_nan_gram_raises_like_reference(self):
+        # such a Gram used to reach both minimizers, which raised InvariantViolated,
+        # an error kept for bugs; from_entries now refuses it as input
         E = gram_matrix(KernelSpec("gaussian"), np.random.default_rng(9).normal(size=(7, 2))).entries
         for i, j in ((3, 3), (0, 5)):
             bad = E.copy()
             bad[i, j] = bad[j, i] = np.nan
-            K = GramMatrix.from_entries(bad)
-            with pytest.raises(InvariantViolated):
-                reference_brute_force_erm(K, 3)
-            with pytest.raises(InvariantViolated):
-                brute_force_erm(K, 3)
+            with pytest.raises(NonFiniteInput):
+                GramMatrix.from_entries(bad)
 
     @pytest.mark.parametrize("spread", [0.0, 1e-9, 1e-8])
     def test_rounding_level_ties_keep_the_first_minimizer(self, spread):

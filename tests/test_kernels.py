@@ -68,6 +68,21 @@ class TestGramMatrix:
         with pytest.raises(NonFiniteInput):
             gram_matrix(KernelSpec("linear"), [[1.0, np.nan]])
 
+    def test_non_finite_entries_rejected(self):
+        # kernel_lloyd on such a matrix used to return a trace of nan
+        entries = np.eye(4)
+        entries[0, 1] = entries[1, 0] = np.nan
+        with pytest.raises(NonFiniteInput, match="Gram matrix entries"):
+            GramMatrix.from_entries(entries)
+
+    @pytest.mark.parametrize("family", ["gaussian", "linear", "polynomial"])
+    def test_overflow_warns_nothing(self, family):
+        # the Gaussian build used to warn of overflow in matmul and an invalid subtract
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="overflows"):
+                gram_matrix(KernelSpec(family), [[0, 0], [1e200, 1e200], [1, 1], [2, 2]])
+
     def test_overflowing_kernel_rejected(self):
         # (x.y + 1)^60 overflows for |x.y| = 2e6; raised as a typed error, with no RuntimeWarning
         X = np.random.default_rng(4).choice([-1e3, 1e3], size=(6, 2))

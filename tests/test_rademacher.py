@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from kkmlab import (
     finite_class_rad,
     khintchine_check,
     lower_bound_construction,
+    rad_check_cell,
     signed_scatter_supremum,
     theorem_bound_value,
 )
@@ -21,12 +23,14 @@ from oracle_utils import (
     grid_supremum,
     reference_coordinate_rad,
     reference_finite_class_rad,
+    reference_khintchine_lhs,
     reference_min_dist_table,
 )
 
 from kkmlab.errors import (
     EnumerationTooLarge,
     InvalidLogArgument,
+    NonFiniteInput,
     NormViolation,
     NotDivisible,
 )
@@ -188,6 +192,34 @@ class TestFiniteClassRad:
             finite_class_rad(data, np.zeros((1, 1, 1)), exact=True)
 
 
+class TestPointChecks:
+    # a NaN point used to give nan; no points gave coordinate_rad 0 over
+    # "1 trial" and finite_class_rad a TypeError
+    ESTIMATORS = {"coordinate": coordinate_rad,
+                  "finite_class": lambda data: finite_class_rad(data, np.zeros((1, 2, 2)))}
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_nan_point_raises(self, estimator):
+        with pytest.raises(NonFiniteInput, match="non-finite values in data"):
+            self.ESTIMATORS[estimator](np.array([[0.5, 0.0], [np.nan, 0.1]]))
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_no_points_raise(self, estimator):
+        with pytest.raises(ValueError, match="data must be a nonempty"):
+            self.ESTIMATORS[estimator](np.zeros((0, 2)))
+
+
+class TestRadCheckCell:
+    def test_sampled_cell_needs_two_trials(self):
+        # one trial used to give std_error 0 and a violated finite-class row
+        with pytest.raises(ValueError, match="trials >= 2, got 1"):
+            rad_check_cell(lower_bound_construction(1, 22), 1, 42)
+
+    def test_exact_cell_draws_nothing(self):
+        rows, sampled = rad_check_cell(lower_bound_construction(2, 4), 1, 42)
+        assert not sampled and [r.verdict for r in rows] == ["satisfied"] * 3
+
+
 class TestKhintchine:
     def test_block_one(self):
         res = khintchine_check(1)
@@ -209,29 +241,25 @@ class TestKhintchine:
             res = khintchine_check(block)
             assert res.lhs >= res.rhs
 
-    def test_monte_carlo_beyond_twenty(self):
-        res = khintchine_check(100, trials=20_000, rng=np.random.default_rng(7))
-        # E|S| ~ sqrt(2 b / pi); half of it must beat sqrt(b/8)
-        assert res.lhs >= res.rhs
-        assert res.lhs == pytest.approx(0.5 * math.sqrt(2 * 100 / math.pi), rel=0.05)
+    def test_closed_form_to_two_hundred(self):
+        for block in range(1, 201):
+            want = Fraction(block * math.comb(block - 1, (block - 1) // 2), 2**block)
+            assert khintchine_check(block).lhs == float(want)
 
-    def test_monte_carlo_needs_a_trial(self):
-        # used to return NaN with a "Mean of empty slice" warning
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            khintchine_check(25, trials=0)
+    def test_binomial_sum_bits_are_kept_to_sixty(self):
+        # the sum that served blocks up to 20; blocks above 20 were sampled
+        for block in range(1, 61):
+            assert khintchine_check(block).lhs == reference_khintchine_lhs(block)
+
+    def test_bound_holds_to_two_thousand(self):
+        for block in range(1, 2001):
+            res = khintchine_check(block)
+            assert res.lhs >= res.rhs
 
 
 class TestMonteCarloBits:
     # recorded before the three estimators shared one sampler: the draws,
     # means and standard errors must keep every bit
-    @pytest.mark.parametrize("block, trials, lhs", [
-        (21, 1, "0x1.0000000000000p-1"),
-        (37, 7, "0x1.76db6db6db6dbp+1"),
-        (100, None, "0x1.f98c7e28240b8p+1"),
-    ])
-    def test_khintchine_is_pinned(self, block, trials, lhs):
-        assert khintchine_check(block, trials, np.random.default_rng([block, 3])).lhs.hex() == lhs
-
     @pytest.mark.parametrize("n, trials, coordinate, finite", [
         (6, 1, ("0x1.0032933f8c180p+2", "0x0.0p+0"), ("0x1.7675050730890p+0", "0x0.0p+0")),
         (12, 7, ("0x1.0e54e223258d8p+1", "0x1.200002826ab03p+0"),

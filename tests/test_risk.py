@@ -21,7 +21,8 @@ from kkmlab import (
     standard_benchmark,
 )
 from kkmlab import clustering, nystrom, risk, seeding
-from kkmlab.errors import CoefficientDimensionMismatch, KTooSmall, NonPositiveRisk
+from kkmlab.errors import (CoefficientDimensionMismatch, KTooSmall, NonFiniteInput,
+                           NonPositiveRisk)
 from kkmlab.risk import exact_vs_nystrom
 from oracle_utils import reference_fit_once, reference_optimal_risk, reference_surrogate_risk
 
@@ -291,6 +292,16 @@ class TestRunCell:
         with pytest.raises(ValueError, match="reps must be >= 1"):
             run_cell(standard_benchmark(2), 8, 2, "exact_erm_approx", reps=0)
 
+    @pytest.mark.parametrize("atoms, error, message", [
+        ([[0.0], [np.nan]], NonFiniteInput, "non-finite values in atoms"),
+        (np.zeros((0, 2)), ValueError, "atoms must be a nonempty"),
+    ])
+    def test_bad_atoms_are_named(self, atoms, error, message):
+        # reported as non-finite "input points" and as weights that do not align
+        with pytest.raises(error, match=message):
+            DistributionSpec(atoms, np.full(len(atoms), 1.0 / max(len(atoms), 1)),
+                             KernelSpec("linear"))
+
     @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 0.0], [-0.5, 1.5], [0.5, 0.6]])
     def test_bad_weights_rejected(self, w):
         # a NaN weight used to pass both checks and end in optimal_risk's InvariantViolated
@@ -337,6 +348,14 @@ class TestExactVsNystrom:
             f"exact_vs_nystrom: {overlapping}/5 cells overlap (2 std_error bands) -> {verdict}",
             status,
         )
+
+    def test_one_rep_has_no_verdict(self):
+        # one rep has std_error 0, so every band had zero width: 0/1 overlap -> violated
+        report = RiskReport()
+        report.cells += [CellRecord(1, 2, "nystrom", 0.0, 1, 0.0, 0.0, 0.0, True, 0.1, 0.0, 0.0),
+                         self.cell(1, "exact_erm_approx", 0.0, 0.2)]
+        with pytest.raises(ValueError, match="reps >= 2"):
+            exact_vs_nystrom(report, [1], [2])
 
 
 class TestScalingFit:
