@@ -77,7 +77,7 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("family", ["gaussian", "linear", "polynomial"])
     def test_overflow_warns_nothing(self, family):
-        # the Gaussian build used to warn of overflow in matmul and an invalid subtract
+        # each build used to warn of overflow in matmul, the Gaussian one of an invalid subtract too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteInput, match="overflows"):

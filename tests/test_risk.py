@@ -350,7 +350,7 @@ class TestExactVsNystrom:
         )
 
     def test_one_rep_has_no_verdict(self):
-        # one rep has std_error 0, so every band had zero width: 0/1 overlap -> violated
+        # one rep has std_error 0, so its band has zero width and the verdict no footing
         report = RiskReport()
         report.cells += [CellRecord(1, 2, "nystrom", 0.0, 1, 0.0, 0.0, 0.0, True, 0.1, 0.0, 0.0),
                          self.cell(1, "exact_erm_approx", 0.0, 0.2)]
