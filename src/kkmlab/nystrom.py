@@ -30,7 +30,7 @@ from .errors import (
     SingularLandmarkBlockWarning,
 )
 from .kernels import GramMatrix, _rounding_margin
-from .seeding import _dsq_centers
+from .seeding import _check_k, _dsq_centers
 
 __all__ = [
     "LandmarkSet",
@@ -103,10 +103,14 @@ def landmark_size(
 
     ``xi`` is the effective dimension; pass k when it is unknown.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 1.0:
         raise InvalidDelta(f"delta must be in (0, 1), got {delta}")
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
+    if xi is not None and not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
     if mode not in ("general", "eigendecay", "linear_k"):
         raise ValueError(f"unknown landmark_size mode {mode!r}")
     if not c_scale > 0:
@@ -214,8 +218,10 @@ def euclidean_kmeanspp_labels(Z: np.ndarray, k: int, rng) -> Assignment:
     """D^2-sampling seeding on Euclidean coordinates; the same sampler as the
     kernel-space seeding, so seeded runs line up across the two geometries."""
     rng = ensure_rng(rng)
-    centers = _dsq_centers(Z.shape[0], k, rng, lambda i: np.sum((Z - Z[i]) ** 2, axis=1))
-    labels = np.argmin(_sq_dists(Z, Z[np.asarray(centers)]), axis=1).astype(np.int64)
+    _check_k(k, len(Z))
+    centers = _dsq_centers(lambda idx: np.sum((Z - Z[idx[0]]) ** 2, axis=1)[:, None],  # one run
+                           rng.integers(len(Z), size=1), rng.random((1, k - 1)))[0]
+    labels = np.argmin(_sq_dists(Z, Z[centers]), axis=1).astype(np.int64)
     return Assignment.from_labels(labels, k)
 
 

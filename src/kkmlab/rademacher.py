@@ -26,6 +26,7 @@ from ._common import as_points, ensure_rng
 from .errors import (
     EnumerationTooLarge,
     InvalidLogArgument,
+    NonFiniteInput,
     NormViolation,
     NotDivisible,
 )
@@ -175,8 +176,17 @@ def signed_scatter_supremum(data: np.ndarray, sigma: np.ndarray) -> float:
     s + 2||v|| when s >= 0 or ||v|| > |s|, and ||v||^2 / |s| otherwise
     (attained inside the ball; the s < 0, v = 0 corner gives 0 at c = 0).
     """
-    data = np.asarray(data, dtype=float)
-    return float(_batch_suprema(data, np.asarray(sigma, dtype=float)[None, :])[0])
+    sigma = np.asarray(sigma, dtype=float)
+    return float(_batch_suprema(_unit_ball_points(data), sigma[None, :])[0])
+
+
+def _unit_ball_points(data) -> np.ndarray:
+    """``as_points`` of feature vectors in the unit ball (tolerance 1e-9)."""
+    data = as_points(data, "data")
+    norms = np.linalg.norm(data, axis=1)
+    if np.any(norms > 1.0 + 1e-9):
+        raise NormViolation(f"feature norms must be <= 1, max was {norms.max():.6g}")
+    return data
 
 
 def _batch_suprema(data: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -203,12 +213,8 @@ def coordinate_rad(data, trials: int = 10_000, rng=None, exact: bool | None = No
     vectors is enumerated exactly when 2^n <= 2^20 (the default), otherwise
     estimated by Monte Carlo with ``trials`` draws.
     """
-    data = as_points(data, "data")
+    data = _unit_ball_points(data)
     n = data.shape[0]
-    norms = np.linalg.norm(data, axis=1)
-    if np.any(norms > 1.0 + 1e-9):
-        raise NormViolation(f"feature norms must be <= 1, max was {norms.max():.6g}")
-
     if exact is None:
         exact = 2**n <= _EXACT_PATTERN_LIMIT
     if exact:
@@ -238,6 +244,8 @@ def _min_dist_table(data: np.ndarray, center_sets) -> np.ndarray:
     centers = np.asarray(center_sets, dtype=float)
     if centers.shape[0] == 0:
         raise ValueError("center_sets must be nonempty")
+    if not np.all(np.isfinite(centers)):
+        raise NonFiniteInput("non-finite values in center_sets")
     norms2 = np.einsum("ij,ij->i", data, data)
     csq = np.einsum("cij,cij->ci", centers, centers)
     d = norms2[:, None] - 2.0 * (data @ centers.transpose(0, 2, 1)) + csq[:, None, :]

@@ -43,7 +43,7 @@ from .nystrom import (
     nystrom_embed,
     sample_landmarks_uniform,
 )
-from .seeding import approximate_erm
+from .seeding import _erm_runs, approximate_erm
 
 __all__ = [
     "DistributionSpec",
@@ -275,9 +275,8 @@ def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> O
 
     seed_base = 0 if P.generator_seed is None else int(P.generator_seed)
     fits = {}  # the polish is deterministic: each distinct fit is polished once
-    for run in range(surrogate_runs):
-        rng = np.random.default_rng([seed_base, 0x5EED, k, run])
-        a, _, _ = approximate_erm(K, k, rng=rng)
+    rngs = [np.random.default_rng([seed_base, 0x5EED, k, run]) for run in range(surrogate_runs)]
+    for a, _, _ in _erm_runs(K, k, rngs):
         fits.setdefault(a.labels.tobytes(), a.labels)
 
     def fit(labels):  # Lloyd in the weighted geometry: weighted costs and means
@@ -311,8 +310,8 @@ def _fit_once(K: GramMatrix, k: int, method: str, policy: MPolicy, rng):
     """
     n = K.n
     if method in ("exact_erm_approx", "approx_erm"):
-        fits = [approximate_erm(K, k, rng=rng)
-                for _ in range(_EXACT_ERM_RESTARTS if method == "exact_erm_approx" else 1)]
+        restarts = _EXACT_ERM_RESTARTS if method == "exact_erm_approx" else 1
+        fits = _erm_runs(K, k, [rng] * restarts)
         # ties go to the earliest restart: min keeps the first of equal keys
         a, trace, _ = min(fits, key=lambda fit: float(fit[1].per_iteration_cost[-1]))
         G = _onehot(a.labels, k)
@@ -499,6 +498,8 @@ def standard_benchmark(
 ) -> DistributionSpec:
     """The benchmark family: k atom clouds of ``atoms_per_cloud`` atoms each
     on the unit sphere, uniform weights, Gaussian kernel."""
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
     rng = np.random.default_rng([seed, k])
     centers = rng.normal(size=(k, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

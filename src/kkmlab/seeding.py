@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 _STRICT_IMPROVEMENT = 1e-12
-_BLOCK_ELEMENTS = 2**16  # cap on B * n * k^2, the floats in a block's one-hot stack
+_BLOCK_ELEMENTS = 2**16  # cap on C * rows * k^2, the floats in a scoring call's one-hot stack
+_MAX_RUNS = 50  # runs of one lockstep batch
 
 
 @dataclass(frozen=True)
@@ -44,29 +45,39 @@ class SeedingResult:
 
 
 def _nearest_others(center_dists: np.ndarray):
-    """Per center position p and point i: the nearest center other than p,
-    its distance, and whether p wins a tie with it (``np.argmin``'s rule)."""
-    n, k = center_dists.shape
+    """Per center position p and point i of (..., n, k) distances: the
+    nearest center other than p, its distance, and whether p wins a tie with
+    it (``np.argmin``'s rule), each (..., k, n)."""
+    k = center_dists.shape[-1]
     pos = np.arange(k)[:, None]
-    first = np.argmin(center_dists, axis=1)
-    rest = center_dists.copy()
-    rest[np.arange(n), first] = np.inf
+    first = np.argmin(center_dists, axis=-1)
+    rest = np.where(first[..., None] == np.arange(k), np.inf, center_dists)
     # the nearest center other than p is the nearest one, or the second if p is the nearest
+    first = first[..., None, :]
     is_first = pos == first
-    other = np.where(is_first, np.argmin(rest, axis=1), first)
-    other_d = np.where(is_first, rest.min(axis=1), center_dists.min(axis=1))
+    other = np.where(is_first, np.argmin(rest, axis=-1)[..., None, :], first)
+    other_d = np.where(is_first, rest.min(axis=-1)[..., None, :],
+                       center_dists.min(axis=-1)[..., None, :])
     return other, other_d, pos < other
 
 
 def _weighted_swap_costs(gram, near, cand_cols, weights, trace: float, n: int) -> np.ndarray:
-    """(B, k) mean-centroid costs, or +inf where a cluster is empty, of the
+    """(C, k) mean-centroid costs, or +inf where a cluster is empty, of the
     nearest-center labelings of the rows of ``gram`` once center p is replaced
-    by the candidate with distance column ``cand_cols[:, b]``.  Row u stands
+    by the candidate with distance column ``cand_cols[:, c]``.  Row u stands
     for ``weights[u]`` of the n points, and ``near`` is ``_nearest_others``
-    at the same rows.  Each trial keeps its own product (one wide product
-    could use other BLAS kernels, so other bits)."""
+    at the same rows, of one center set or of one per candidate.  Each trial
+    keeps its own product (one wide product could use other BLAS kernels, so
+    other bits), and a call builds at most ``_BLOCK_ELEMENTS`` one-hot floats
+    at a time."""
     other, other_d, wins_tie = near
-    k, rows = other.shape
+    k, rows = other.shape[-2:]
+    step = max(1, _BLOCK_ELEMENTS // (rows * k * k))
+    if cand_cols.shape[1] > step:
+        return np.concatenate([
+            _weighted_swap_costs(gram, [a[s : s + step] if a.ndim == 3 else a for a in near],
+                                 cand_cols[:, s : s + step], weights, trace, n)
+            for s in range(0, cand_cols.shape[1], step)])
     cand = cand_cols.T[:, None, :]
     takes_cand = (cand < other_d) | ((cand == other_d) & wins_tie)
     labels = np.where(takes_cand, np.arange(k)[:, None], other).reshape(-1, rows)
@@ -87,7 +98,7 @@ def _swap_costs(K: GramMatrix, near, cand_cols: np.ndarray) -> np.ndarray:
     return _weighted_swap_costs(K.entries, near, cand_cols, np.ones(K.n), trace, K.n)
 
 
-def _screen(K: GramMatrix, near, rows: np.ndarray, bar: float) -> np.ndarray:
+def _screen(K: GramMatrix, near, rows: np.ndarray, bar) -> np.ndarray:
     """Whether a swap of each distinct row in ``rows`` (positions in
     ``K.distinct.rep``) may cost less than ``bar``, scored on ``K.distinct``
     (``near`` taken at its rows ``rep``): copies of a row have the same
@@ -102,49 +113,145 @@ def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> Seedi
     induced = Assignment.from_labels(labels, len(centers))
     if np.any(induced.cluster_sizes == 0):
         raise EmptyCluster("duplicate data points left a center with no cell")
-    return SeedingResult(
-        center_indices=np.asarray(centers, dtype=np.int64),
-        induced=induced,
-        cost=cluster_cost(K, induced),
-        swaps_accepted=swaps,
-    )
+    centers = np.asarray(centers, dtype=np.int64)
+    return SeedingResult(centers, induced, cluster_cost(K, induced), swaps)
 
 
-def _dsq_draw(rng: np.random.Generator, d2: np.ndarray, size: int) -> np.ndarray:
-    """Up to ``size`` i.i.d. indices drawn with probability proportional to d2
-    (must not be all zero), from one ``rng.random(size)``.
-
-    Each is what ``rng.choice(d2.size, p=d2 / d2.sum())`` returns from the
-    same uniform, by the same arithmetic, without that call's checks on
-    ``p``.  Draws from the first zero-weight one on are dropped.
-    """
-    cdf = (d2 / float(d2.sum())).cumsum()
-    cdf /= cdf[-1]
-    choice = cdf.searchsorted(rng.random(size), side="right")
-    valid = np.logical_and.accumulate(d2[choice] > 0.0)
-    if not valid[0]:
-        raise InvariantViolated(f"D^2 sampler drew point {choice[0]}, which has zero weight")
-    return choice[valid]
+def _dsq_draw(d2: np.ndarray, u: np.ndarray):
+    """(B, s) indices drawn with probability proportional to each row of the
+    (B, n) d2 (none all zero), one per uniform in the same row of ``u``, and
+    whether each has positive weight: what ``rng.choice(n, p=row / row.sum())``
+    returns from the same uniform, by the same arithmetic, without that call's
+    checks on ``p`` (the rows of a C-ordered d2 sum as they do on their own)."""
+    cdf = (d2 / d2.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    choice = np.array([c.searchsorted(v, side="right") for c, v in zip(cdf, u)],
+                      dtype=np.int64).reshape(u.shape)
+    return choice, d2[np.arange(len(d2))[:, None], choice] > 0.0
 
 
-def _dsq_centers(n: int, k: int, rng: np.random.Generator, dists_to) -> list[int]:
-    """k distinct point indices by D^2 sampling, in either geometry:
-    ``dists_to(i)`` returns every point's squared distance to point i."""
+def _check_k(k: int, n: int) -> None:
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds n={n}")
-    centers = [int(rng.integers(n))]
-    d2 = dists_to(centers[0])
-    for _ in range(1, k):
-        if d2.sum() > 0.0:
-            nxt = int(_dsq_draw(rng, d2, 1)[0])
-        else:
-            remaining = np.setdiff1d(np.arange(n), np.asarray(centers))
-            nxt = int(rng.choice(remaining))
-        centers.append(nxt)
-        d2 = np.minimum(d2, dists_to(nxt))
-    return centers
+
+
+def _dsq_centers(dists_to, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(B, k) point indices by D^2 sampling in either geometry, ``dists_to(idx)``
+    giving the (n, len(idx)) squared distances: run b starts at ``first[b]``
+    and draws each later center from its next uniform in ``u[b]``.  Once every
+    point sits on a center, a new one would get no cell: ``EmptyCluster``."""
+    centers, d2 = [first], np.ascontiguousarray(dists_to(first).T)
+    for step in u.T[:, :, None]:
+        if not (d2.sum(axis=1) > 0.0).all():
+            raise EmptyCluster("duplicate data points left a center with no cell")
+        nxt, ok = _dsq_draw(d2, step)
+        if not ok.all():
+            raise InvariantViolated(f"D^2 sampler drew point {nxt[~ok][0]}, which has zero weight")
+        centers.append(nxt[:, 0])
+        np.minimum(d2, dists_to(nxt[:, 0]).T, out=d2)
+    return np.array(centers).T
+
+
+def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingResult]:
+    """k-means++ seeding (unless ``seeds`` holds a batch of one's) and ``rounds``
+    rounds of local search for B runs on one Gram in lockstep, each run with
+    the result and generator state of its own round-by-round calls.
+
+    Run b draws from ``rngs[b]``; runs share one generator, in run order, or
+    have one each.  Its uniforms are drawn up front in its calls' order:
+    ``integers(n)``, one per later center, then one per round.  A run that
+    stops early (every point on a center) hands back its unused rounds, and
+    the later runs on its generator are fitted again, one at a time.
+
+    Each step scores every run's next draws not yet known to be rejected in
+    one exact call (one draw after a swap, twice as many after a step without
+    one), and each run applies its first improver.  Known rejections: a point
+    drawn again, which scores the same, or where Gram rows repeat
+    (``K.distinct``) a row drawn again or one that fails its screen on the
+    distinct rows, once per center set."""
+    if len(rngs) > _MAX_RUNS:  # a batch's state grows with B, and larger ones are no faster
+        return _runs(K, k, rngs[:_MAX_RUNS], rounds) + _runs(K, k, rngs[_MAX_RUNS:], rounds)
+    n, B = K.n, len(rngs)
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if seeds is None:
+        _check_k(k, n)
+    first, u0, u, states = np.empty(B, np.int64), np.empty((B, k - 1)), np.empty((B, rounds)), []
+    for b, rng in enumerate(rngs):
+        if seeds is None:
+            first[b], u0[b] = rng.integers(n), rng.random(k - 1)
+        states.append(rng.bit_generator.state)
+        u[b] = rng.random(rounds)
+    if seeds is None:
+        centers = _dsq_centers(lambda idx: dists_to_points(K, idx), first, u0)
+        seeds = [_result_for_centers(K, c, 0) for c in centers]
+    if rounds == 0 or B == 0:
+        return seeds
+
+    centers = np.array([s.center_indices for s in seeds], dtype=np.int64)
+    cost = np.array([s.cost for s in seeds])
+    swaps = np.array([s.swaps_accepted for s in seeds])
+    cd = dists_to_points(K, centers.ravel()).reshape(n, B, k).transpose(1, 0, 2).copy()
+    d = K.distinct
+    near = tuple(np.empty((B, k, n), dtype) for dtype in (np.int64, float, bool))
+    draws, keep = np.empty((B, rounds), np.int64), np.zeros((B, rounds), bool)  # keep: to score
+    t, used, moved = np.zeros(B, np.int64), np.full(B, rounds), np.arange(B)  # t: first round
+    width, max_width = np.ones(B, np.int64), max(1, _BLOCK_ELEMENTS // (B * n * k * k))
+    while True:
+        if moved.size:  # draws, screen and trial labels for the runs' new centers
+            d2 = cd[moved].min(axis=2)
+            stop = ~(d2.sum(axis=1) > 0.0)  # every point sits on a center
+            used[moved[stop]] = t[moved[stop]]
+            keep[moved], width[moved] = False, 1
+            moved, d2 = moved[~stop], d2[~stop]
+            for a, a_new in zip(near, _nearest_others(cd[moved])):
+                a[moved] = a_new
+            drawn, ok = _dsq_draw(d2, u[moved])
+            ahead = np.arange(rounds) >= t[moved, None]
+            ok = np.logical_and.accumulate(ok | ~ahead, axis=1)  # a zero-weight draw ends the run
+            draws[moved] = np.where(ok, drawn, ~drawn)  # ~: marks the draw that raises
+            ids = drawn if d is None else d.groups[drawn]
+            pos = np.flatnonzero(ahead & ok)
+            _, firsts = np.unique(pos // rounds * n + ids.ravel()[pos], return_index=True)
+            r, j = np.divmod(pos[firsts], rounds)
+            runs = moved[r]
+            keep[runs, j] = True if d is None else _screen(
+                K, tuple(a[..., d.rep][runs] for a in near), ids[r, j],
+                cost[runs] - _STRICT_IMPROVEMENT)
+            hit = ~ok[:, -1]  # the run would reach its first zero-weight draw, which raises
+            keep[moved[hit], ok[hit].argmin(axis=1)] = True
+        r, j = np.nonzero(keep & (keep.cumsum(axis=1) <= width[:, None]))  # in draw order
+        if not r.size:
+            break
+        cand = draws[r, j]
+        cols = dists_to_points(K, np.where(cand < 0, ~cand, cand))
+        costs = _swap_costs(K, tuple(a[r] for a in near), cols)
+        keep[r, j] = False
+        win = np.flatnonzero((costs.min(axis=1) < cost[r] - _STRICT_IMPROVEMENT) & (cand >= 0))
+        win = win[r[win] != np.append(-1, r[win])[:-1]]  # each run applies its first improver
+        if np.any(cand < 0) and np.any(stuck := (cand < 0) & ~np.isin(r, r[win])):
+            raise InvariantViolated(
+                f"D^2 sampler drew point {~cand[stuck][0]}, which has zero weight")
+        width[r] = np.minimum(2 * width[r], max_width)
+        moved, j, costs = r[win], j[win], costs[win]
+        p = np.argmin(costs, axis=1)  # first minimum: lowest position wins ties
+        centers[moved, p] = cand[win]
+        cost[moved] = costs[np.arange(moved.size), p]
+        swaps[moved] += 1
+        cd[moved, :, p] = cols[:, win].T
+        t[moved] = j + 1
+
+    # the columns and exact costs are ``_result_for_centers``', bit for bit
+    out = [SeedingResult(centers[b], Assignment.from_labels(np.argmin(cd[b], axis=1), k),
+                         float(cost[b]), int(swaps[b])) for b in range(B)]
+    for b in np.flatnonzero(used < rounds):  # hand back the rounds a stopped run did not use
+        rngs[b].bit_generator.state = states[b]
+        rngs[b].random(used[b])
+        if any(r is rngs[b] for r in rngs[b + 1 :]):  # they drew from the wrong place
+            return out[: b + 1] + [_runs(K, k, [r], rounds)[0] for r in rngs[b + 1 :]]
+    return out
 
 
 def kernel_kmeanspp(K: GramMatrix, k: int, rng=None) -> SeedingResult:
@@ -152,13 +259,10 @@ def kernel_kmeanspp(K: GramMatrix, k: int, rng=None) -> SeedingResult:
 
     The first center is uniform over the points; each later one is drawn
     proportionally to the squared distance from the centers chosen so far.
-    If every remaining point sits exactly on a chosen center (duplicated
-    data), the draw falls back to uniform over the non-center indices so
-    that k distinct indices are still returned.
+    If every point sits exactly on a chosen center before k are chosen
+    (duplicated data), ``EmptyCluster``.
     """
-    rng = ensure_rng(rng)
-    centers = _dsq_centers(K.n, k, rng, lambda i: dists_to_points(K, [i])[:, 0])
-    return _result_for_centers(K, np.asarray(centers), swaps=0)
+    return _runs(K, k, [ensure_rng(rng)], 0)[0]
 
 
 def local_search_improve(
@@ -171,93 +275,20 @@ def local_search_improve(
 
     Per round: draw a candidate point by D^2 sampling against the current
     centers, try swapping it for each center in turn, and keep the best
-    strictly improving swap if any.
-
-    A rejected round changes nothing, so the remaining rounds' candidates are
-    drawn in one block of up to ``cap`` at a time and scored exactly in draw
-    order, in chunks that double in width from 1 after each swap; the first
-    improving candidate is applied and the generator rewound to just after
-    its draw, so results and generator state equal the round-by-round loop's.
-    A chunk holds at most ``_BLOCK_ELEMENTS / (n k^2)`` candidates, and
-    ``cap`` is the same bound with ``n`` counting only distinct rows when
-    they are screened.
-
-    When Gram rows repeat (``K.distinct``), each distinct row drawn is first
-    screened once per center set on the distinct rows, and only candidates
-    whose rows the screen cannot reject are scored exactly, so every accepted
-    swap and cost comes from exact scores.  ``_nearest_others`` then runs on
-    the distinct rows, spread to all n only when a center set scores exactly.
-    Without a screen, a row drawn again under the same centers would score
-    the same, so only its first draw per center set is scored.
+    strictly improving swap if any.  A batch of one ``_runs``, whose result
+    and generator state are the round-by-round loop's.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
     if rounds == 0:
         return seed
-    rng = ensure_rng(rng)
+    return _runs(K, len(seed.center_indices), [ensure_rng(rng)], rounds, [seed])[0]
 
-    centers = np.asarray(seed.center_indices, dtype=np.int64).copy()
-    cost = float(seed.cost)
-    swaps = int(seed.swaps_accepted)
-    k = len(centers)
 
-    center_dists = dists_to_points(K, centers)
-    d = K.distinct
-    max_width = max(1, _BLOCK_ELEMENTS // (K.n * k**2))
-    cap = max_width if d is None else max(1, _BLOCK_ELEMENTS // (len(d.rep) * k**2))
-    width, moved = 1, True
-    while rounds > 0:
-        if moved:  # what the draws, the screen and the trial labels need of the centers
-            d2 = center_dists.min(axis=1)
-            if not d2.sum() > 0.0:  # every point sits on a center
-                break
-            bar = cost - _STRICT_IMPROVEMENT
-            if d is None:
-                near = _nearest_others(center_dists)
-            else:  # copies of a row have the same center distances, so the same near
-                near, near_rep = None, _nearest_others(center_dists[d.rep])
-            # one verdict per row: -1 not yet screened (or scored), 0 rejected, 1 kept
-            verdict = np.full(K.n if d is None else len(d.rep), -1, dtype=np.int8)
-        size = min(rounds, cap)
-        state = rng.bit_generator.state
-        cands = _dsq_draw(rng, d2, size)
-        if d is None:  # a row drawn again scores the same: only its first draw is kept
-            uniq, first = np.unique(cands, return_index=True)
-            kept = np.sort(first[verdict[uniq] < 0])
-            verdict[uniq] = 0  # scored and rejected below, or reset by a swap
-        else:
-            rows = d.groups[cands]
-            new = np.flatnonzero((np.bincount(rows, minlength=verdict.size) > 0) & (verdict < 0))
-            if new.size:
-                verdict[new] = _screen(K, near_rep, new, bar)
-            kept = np.flatnonzero(verdict[rows] == 1)
-        pos, better = 0, np.empty(0, dtype=np.int64)
-        while pos < kept.size and not better.size:  # exact scores up to the first improver
-            chunk = kept[pos : pos + width]
-            if near is None:
-                near = tuple(a[:, d.groups] for a in near_rep)
-            cand_cols = dists_to_points(K, cands[chunk])
-            costs = _swap_costs(K, near, cand_cols)
-            better = np.flatnonzero(costs.min(axis=1) < bar)  # the first one is applied
-            pos += chunk.size
-            width = 1 if better.size else min(2 * width, max_width)
-        used = int(chunk[better[0]]) + 1 if better.size else len(cands)
-        if used < size:  # rewind past the draws the round-by-round loop never made
-            rng.bit_generator.state = state
-            rng.random(used)
-        rounds -= used
-        moved = better.size > 0
-        if moved:
-            j = better[0]
-            p = int(np.argmin(costs[j]))  # first minimum: lowest position wins ties
-            centers[p] = cands[chunk[j]]
-            cost = float(costs[j, p])
-            swaps += 1
-            center_dists[:, p] = cand_cols[:, j]
-
-    # the loop's columns and exact cost are ``_result_for_centers``', bit for bit
-    induced = Assignment.from_labels(np.argmin(center_dists, axis=1), k)
-    return SeedingResult(centers, induced, cost, swaps)
+def _erm_runs(K: GramMatrix, k: int, rngs, rounds: int | None = None, max_iter: int = 300,
+              rel_tol: float = 1e-9) -> list[tuple]:
+    """``approximate_erm`` once per generator in ``rngs`` (see ``_runs``)."""
+    fits = _runs(K, k, rngs, 25 * k if rounds is None else rounds)
+    return [(*kernel_lloyd(K, s.induced, max_iter=max_iter, rel_tol=rel_tol), s.swaps_accepted)
+            for s in fits]
 
 
 def approximate_erm(
@@ -275,10 +306,4 @@ def approximate_erm(
     final assignment, its Lloyd trace (the last cost is the assignment's),
     and the number of local-search swaps accepted.
     """
-    rng = ensure_rng(rng)
-    if rounds is None:
-        rounds = 25 * k
-    seed = kernel_kmeanspp(K, k, rng)
-    improved = local_search_improve(K, seed, rounds, rng)
-    assignment, trace = kernel_lloyd(K, improved.induced, max_iter=max_iter, rel_tol=rel_tol)
-    return assignment, trace, improved.swaps_accepted
+    return _erm_runs(K, k, [ensure_rng(rng)], rounds, max_iter, rel_tol)[0]

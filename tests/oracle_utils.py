@@ -11,8 +11,10 @@ from kkmlab.clustering import (
     _cluster_linkage,
     _grow_partitions,
     _point_center_dists,
+    kernel_lloyd,
 )
 from kkmlab.errors import (
+    EmptyCluster,
     InvariantViolated,
     NonFiniteInput,
     NormalizationViolated,
@@ -338,6 +340,27 @@ def sequential_local_search(K, seed, rounds, rng):
             center_dists[:, best_pos] = cand_col
             d2 = center_dists.min(axis=1)
     return _result_for_centers(K, centers, swaps=swaps), accepted
+
+
+def sequential_kmeanspp(K, k, rng):
+    """One ``rng.choice`` D^2 draw per center after a uniform first one: the
+    reference for the seeding of ``seeding._runs``.  Once every point sits on
+    a center, no further center could get a cell: ``EmptyCluster``."""
+    centers = [int(rng.integers(K.n))]
+    for _ in range(1, k):
+        d2 = dists_to_points(K, centers).min(axis=1)
+        if not d2.sum() > 0.0:
+            raise EmptyCluster("every point sits on a center")
+        centers.append(int(rng.choice(K.n, p=d2 / float(d2.sum()))))
+    return _result_for_centers(K, np.asarray(centers), swaps=0)
+
+
+def reference_approximate_erm(K, k, rounds, rng):
+    """``sequential_kmeanspp``, ``sequential_local_search`` and Lloyd: the
+    reference for ``approximate_erm``."""
+    seed = sequential_kmeanspp(K, k, rng)
+    improved, _ = sequential_local_search(K, seed, rounds, rng)
+    return (*kernel_lloyd(K, improved.induced), improved.swaps_accepted)
 
 
 def reference_fit_once(K, k, method, policy, rng):

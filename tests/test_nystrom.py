@@ -100,6 +100,18 @@ class TestLandmarkSize:
         with pytest.raises(MissingXi):
             landmark_size(10, 2, delta=0.1, mode="linear_k")
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, n):
+        # n = 0 used to give 0 landmarks
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            landmark_size(n, 2, 0.1, xi=2.0)
+
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_xi_rejected(self, xi):
+        # xi = nan used to give the xi = k answer (33 at n = 100, k = 2, delta = 0.1)
+        with pytest.raises(ValueError, match="xi must be finite"):
+            landmark_size(100, 2, 0.1, xi=xi)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):
         # used to raise ZeroDivisionError (k = 0) and math's domain error (k = -1)

@@ -208,6 +208,21 @@ class TestPointChecks:
         with pytest.raises(ValueError, match="data must be a nonempty"):
             self.ESTIMATORS[estimator](np.zeros((0, 2)))
 
+    def test_supremum_checks_its_points(self):
+        # a NaN point used to give nan, and a point outside the unit ball 13.75
+        sigma = np.array([1.0, -1.0])
+        with pytest.raises(NonFiniteInput, match="non-finite values in data"):
+            signed_scatter_supremum(np.array([[np.nan, 0.0], [0.5, 0.0]]), sigma)
+        with pytest.raises(NormViolation, match="feature norms must be <= 1"):
+            signed_scatter_supremum(np.array([[3.0, 0.0], [0.5, 0.0]]), sigma)
+
+    def test_non_finite_center_sets_raise(self):
+        # used to return RadEstimate(value=nan, std_error=nan, trials=10000)
+        with pytest.raises(NonFiniteInput, match="non-finite values in center_sets"):
+            finite_class_rad(np.eye(2), np.full((1, 2, 2), np.nan))
+        with pytest.raises(NonFiniteInput, match="center_sets"):
+            finite_class_rad(np.eye(2), np.array([[[0.0, np.inf], [0.0, 0.0]]]), exact=True)
+
 
 class TestRadCheckCell:
     def test_sampled_cell_needs_two_trials(self):

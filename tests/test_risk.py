@@ -139,6 +139,12 @@ class TestOptimalRisk:
         with pytest.raises(KTooSmall, match=f"k must be >= 1, got {k}"):
             optimal_risk(standard_benchmark(2), k)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_benchmark_needs_a_cloud(self, k):
+        # k = 0 used to raise numpy's "need at least one array to concatenate"
+        with pytest.raises(KTooSmall, match=f"k must be >= 1, got {k}"):
+            standard_benchmark(k)
+
     def test_surrogate_flagged_beyond_guard(self):
         P = standard_benchmark(4)  # 24 atoms
         res = optimal_risk(P, 4, surrogate_runs=20)
@@ -199,13 +205,13 @@ class TestOptimalRiskCache:
         import kkmlab.risk
 
         calls = []
-        real = kkmlab.risk.approximate_erm
+        real = kkmlab.risk._erm_runs
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(K, k, rngs, *args, **kwargs):  # one call per run of a batch
+            calls.extend([1] * len(rngs))
+            return real(K, k, rngs, *args, **kwargs)
 
-        monkeypatch.setattr(kkmlab.risk, "approximate_erm", counting)
+        monkeypatch.setattr(kkmlab.risk, "_erm_runs", counting)
         return calls
 
     def test_run_cells_on_one_distribution_fit_once(self, fits):

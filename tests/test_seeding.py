@@ -18,13 +18,19 @@ from kkmlab.datasets import two_blob_points
 from kkmlab.errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from kkmlab.kernels import GramMatrix, dists_to_points
 from kkmlab.seeding import (
-    _BLOCK_ELEMENTS,
     _dsq_draw,
+    _erm_runs,
     _nearest_others,
     _swap_costs,
     _weighted_swap_costs,
 )
-from oracle_utils import _labels_cost, blob_labels, sequential_local_search
+from oracle_utils import (
+    _labels_cost,
+    blob_labels,
+    reference_approximate_erm,
+    sequential_kmeanspp,
+    sequential_local_search,
+)
 
 
 def discrete_subset_optimum(K, k):
@@ -116,25 +122,34 @@ class TestKmeansPP:
 
 class TestDsqDraw:
     def test_zero_weight_draw_raises_typed_error(self):
-        class ZeroWeightRng:
-            def random(self, size=None):
-                return np.full(size, -0.5)  # below the whole CDF: lands on d2[0], which is zero
+        # a uniform below the whole CDF lands on d2[0], which is zero: the
+        # sampler flags it, and the search that reaches it raises
+        choice, ok = _dsq_draw(np.array([[0.0, 1.0, 2.0]]), np.array([[-0.5, 0.7]]))
+        assert choice.tolist() == [[0, 2]] and ok.tolist() == [[False, True]]
 
+        class ZeroWeightRng(np.random.Generator):
+            def random(self, size=None):
+                return np.full(size, -0.5)
+
+        K = gram_matrix(KernelSpec("linear"), np.array([[0.0], [1.0], [2.0]]))
         with pytest.raises(InvariantViolated):
-            _dsq_draw(ZeroWeightRng(), np.array([0.0, 1.0, 2.0]), 1)
+            local_search_improve(K, seeding_from_centers(K, [0]), 3, ZeroWeightRng(PCG64(0)))
 
     def test_draws_as_generator_choice_does(self):
-        # same index and same generator state as rng.choice with p = d2 / sum
+        # same indices and same generator state as rng.choice with p = d2 / sum,
+        # row by row, for several rows drawn in one call
         for seed in range(300):
             g = np.random.default_rng([seed, 0xD2])
             n = 1 + seed
-            d2 = g.exponential(size=n) * (g.random(n) < 0.7)
-            d2[g.integers(n)] = g.exponential()  # at least one positive weight
+            d2 = g.exponential(size=(3, n)) * (g.random((3, n)) < 0.7)
+            d2[:, g.integers(n)] = g.exponential()  # at least one positive weight
             ours = np.random.default_rng(seed)
             theirs = np.random.default_rng(seed)
-            for _ in range(3):
-                want = int(theirs.choice(n, p=d2 / float(d2.sum())))
-                assert _dsq_draw(ours, d2, 1).tolist() == [want]
+            for _ in range(2):
+                want = [[int(theirs.choice(n, p=row / float(row.sum()))) for _ in range(4)]
+                        for row in d2]
+                got, ok = _dsq_draw(d2, ours.random((3, 4)))
+                assert got.tolist() == want and ok.all()
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -312,7 +327,7 @@ class TestBlockLoop:
             seed = seeding_from_centers(K, g.choice(24, size=3, replace=False))
             _, accepted = sequential_local_search(K, seed, 15, np.random.default_rng(inst))
             d2 = dists_to_points(K, seed.center_indices).min(axis=1)
-            draws = seeding._dsq_draw(np.random.default_rng(inst), d2, 15)
+            draws = _dsq_draw(d2[None], np.random.default_rng(inst).random((1, 15)))[0][0]
             if not accepted or len(np.unique(draws[: accepted[0]])) != first_accept:
                 continue
             if len(np.unique(draws)) < sum(widths):  # the improver's chunk is not full
@@ -454,17 +469,22 @@ class TestScreen:
             assert got == want, (inst, K.n, k, rounds)
         assert screened >= 250
 
-    def test_capped_blocks_equal_sequential_loop(self):
-        # a block holds fewer draws than the rounds left, so a center set
-        # can span several blocks
+    def test_capped_blocks_equal_sequential_loop(self, monkeypatch):
+        # a scoring call holds fewer candidates than a center set's screen
+        # or a batch's step has, so both are split into capped chunks; and
+        # eight restarts on one generator run as batches of three
+        monkeypatch.setattr(seeding, "_BLOCK_ELEMENTS", 2**12)
+        monkeypatch.setattr(seeding, "_MAX_RUNS", 3)
         for inst in range(20):
             K, k = half_distinct_sample(inst)
             rounds = 25 * k
-            assert _BLOCK_ELEMENTS // (len(K.distinct.rep) * k**2) < rounds
+            assert seeding._BLOCK_ELEMENTS // (len(K.distinct.rep) * k**2) < rounds
             seed = kernel_kmeanspp(K, k, np.random.default_rng(inst))
             got = _outcome(local_search_improve, K, seed, rounds, np.random.default_rng(inst))
             want = _outcome(sequential_local_search, K, seed, rounds, np.random.default_rng(inst))
             assert got == want, (inst, K.n, k)
+            if inst < 4:
+                assert_runs_equal_calls(K, k, np.random.default_rng(inst), restarts=8)
 
     def test_grouped_costs_within_a_quarter_of_the_margin(self):
         for inst in range(300):
@@ -497,101 +517,46 @@ class TestScreen:
         assert checked >= 30
 
     def test_exact_scores_only_what_the_screen_keeps(self, monkeypatch):
-        # one record per center set: its trial labels, the screen's bar and
-        # verdict per distinct row, and per block the draws and exact calls
-        sets, live = [], {}
-        real_screen, real_near, real_draw = seeding._screen, seeding._nearest_others, _dsq_draw
-        real_dists = seeding.dists_to_points
-
-        def dists_spy(K, idx):
-            out = real_dists(K, idx)
-            live.setdefault("center_dists", out)  # the first call: the loop's own array
-            return out
-
-        def near_spy(center_dists):
-            # a center set gets near only on its distinct rows; the full rows
-            # are built only for the center sets that score exactly
-            K, full = live["K"], live["center_dists"]
-            assert np.array_equal(center_dists, full[K.distinct.rep])
-            sets.append({"near": real_near(full), "verdict": {}, "blocks": []})
-            return real_near(center_dists)
-
-        def draw_spy(rng, d2, size):
-            cands = real_draw(rng, d2, size)
-            sets[-1]["blocks"].append((cands, []))
-            return cands
+        # per center set: one screen of the distinct rows drawn, each row
+        # once; exact scores only for kept rows, each at most once; and no
+        # rejected row has an improving swap
+        sets = []
+        real_screen = seeding._screen
 
         def screen_spy(K, near, rows, bar):
-            s = sets[-1]
-            for a, full in zip(near, s["near"]):
-                assert np.array_equal(a, full[:, K.distinct.rep])
-            assert rows.size * len(K.distinct.rep) * len(near[0]) ** 2 <= _BLOCK_ELEMENTS
-            # each distinct row is screened at most once per center set
-            assert len(set(rows.tolist()) | s["verdict"].keys()) == len(s["verdict"]) + rows.size
+            d = K.distinct
+            assert len(set(rows.tolist())) == rows.size
             keep = real_screen(K, near, rows, bar)
-            s["verdict"].update(zip(rows.tolist(), keep.tolist()))
-            s.update(K=K, bar=bar)
+            if rows.size:  # copies of a row share their distances, so their near
+                full = tuple(a[..., d.groups] for a in near)
+                exact = _swap_costs(K, full, dists_to_points(K, d.rep[rows]))
+                assert np.all(exact.min(axis=1)[~keep] >= bar[~keep])
+            sets.append({"kept": set(rows[keep].tolist()), "rejected": int((~keep).sum()),
+                         "scored": []})
             return keep
 
         def exact_spy(K, near, cand_cols):
-            assert cand_cols.shape[1] * K.n * len(near[0]) ** 2 <= _BLOCK_ELEMENTS
-            for a, full in zip(near, sets[-1]["near"]):
-                assert np.array_equal(a, full)
-            costs = _swap_costs(K, near, cand_cols)
-            sets[-1]["blocks"][-1][1].append((cand_cols.copy(), costs.min(axis=1)))
-            return costs
+            # the rows whose distance column each candidate has (rarely more than one)
+            reps = dists_to_points(K, K.distinct.rep)
+            for col in cand_cols.T:
+                sets[-1]["scored"].append(tuple(np.flatnonzero((reps == col[:, None]).all(axis=0))))
+            return _swap_costs(K, near, cand_cols)
 
         samples = [duplicated_sample(inst)[2:] for inst in range(40)]
-        samples += [half_distinct_sample(inst) for inst in range(4)]  # sets span blocks
+        samples += [half_distinct_sample(inst) for inst in range(4)]
         cases = [(inst, K, kernel_kmeanspp(K, k, np.random.default_rng(inst)))
                  for inst, (K, k) in enumerate(samples) if K.distinct is not None]
-        monkeypatch.setattr(seeding, "dists_to_points", dists_spy)
-        monkeypatch.setattr(seeding, "_nearest_others", near_spy)
-        monkeypatch.setattr(seeding, "_dsq_draw", draw_spy)
         monkeypatch.setattr(seeding, "_screen", screen_spy)
         monkeypatch.setattr(seeding, "_swap_costs", exact_spy)
         for inst, K, seed in cases:
-            live.clear()
-            live["K"] = K
-            first = len(sets)
             _outcome(local_search_improve, K, seed, 4 * len(seed.center_indices) + 1,
                      np.random.default_rng(inst))
-            for s in sets[first:]:
-                s["next"] = s is not sets[-1]  # a swap made the next center set
-                s["after_swap"] = s is not sets[first]
-        kept_rounds = rejected_rounds = 0
         for s in sets:
-            K, bar, d = s["K"], s["bar"], s["K"].distinct
-            improving = []
-            for cands, exact in s["blocks"]:
-                # exact scores go to the block's kept candidates in draw order
-                keep = np.array([s["verdict"][u] for u in d.groups[cands].tolist()], dtype=bool)
-                kept = np.flatnonzero(keep)
-                mins = np.concatenate([m for _, m in exact]) if exact else np.empty(0)
-                if exact:
-                    cols = np.concatenate([c for c, _ in exact], axis=1)
-                    assert np.array_equal(cols, dists_to_points(K, cands[kept[: mins.size]]))
-                improving += [bool(np.any(m < bar)) for _, m in exact]
-                if not any(improving):  # every kept candidate was scored
-                    assert mins.size == kept.size
-                # the rounds the block stands for end at its applied candidate
-                applied = np.flatnonzero(mins < bar)
-                used = kept[applied[0]] + 1 if applied.size else cands.size
-                kept_rounds += int(keep[:used].sum())
-                rejected_rounds += int(used - keep[:used].sum())
-            # exact scoring starts at one candidate after a swap and stops at
-            # the first chunk with an improver
-            widths = [c.shape[1] for _, exact in s["blocks"] for c, _ in exact]
-            assert widths[:1] in ([], [1]) or not s["after_swap"]
-            assert not any(improving[:-1])
-            assert improving[-1:] == [True] or not s["next"]
-            # no rejected candidate has an improving swap
-            rejected = [u for u, keep in s["verdict"].items() if not keep]
-            costs = _swap_costs(K, s["near"], dists_to_points(K, d.rep[rejected]))
-            assert np.all(costs >= bar)
-        assert any(len(s["blocks"]) > 1 for s in sets)
-        # the screen rejects most candidates
-        assert rejected_rounds > kept_rounds > 0
+            assert all(s["kept"].intersection(rows) for rows in s["scored"])
+            assert all(s["scored"].count(rows) <= len(rows) for rows in s["scored"])
+        # the screen rejects rows, and exact scores stop at each center set's first improver
+        kept = sum(len(s["kept"]) for s in sets)
+        assert sum(s["rejected"] for s in sets) > 0 and 0 < sum(len(s["scored"]) for s in sets) < kept
 
     def test_continuous_data_and_groupless_grams_are_not_screened(self, monkeypatch):
         def no_screen(*args):
@@ -607,6 +572,126 @@ class TestScreen:
             seed = kernel_kmeanspp(K, 3, np.random.default_rng(1))
             got = _outcome(local_search_improve, K, seed, 31, np.random.default_rng(1))
             assert got == _outcome(sequential_local_search, K, seed, 31, np.random.default_rng(1))
+
+
+def assert_runs_equal_calls(K, k, rng, restarts=20, shared=True):
+    """One ``_erm_runs`` batch against ``restarts`` ``approximate_erm`` calls
+    on a separate Gram with the same entries (so Lloyd is not taken from the
+    batch's memo): the same labels, trace bits, swaps and generator states."""
+    state = rng.bit_generator.state
+    rngs = [rng] * restarts if shared else [np.random.default_rng([int(rng.integers(2**32)), r])
+                                             for r in range(restarts)]
+    twins = [np.random.default_rng(0) for _ in rngs]
+    for twin, r in zip(twins, rngs):
+        twin.bit_generator.state = state if shared else r.bit_generator.state
+    twins = [twins[0]] * restarts if shared else twins
+    batch = _erm_runs(K, k, rngs)
+    K2 = GramMatrix.from_entries(K.entries, groups=K.groups)
+    for b, (a, trace, swaps) in enumerate(batch):
+        a2, trace2, swaps2 = approximate_erm(K2, k, rng=twins[b])
+        assert a.labels.tolist() == a2.labels.tolist(), b
+        assert trace.per_iteration_cost.tobytes() == trace2.per_iteration_cost.tobytes(), b
+        assert swaps == swaps2, b
+    for r, twin in zip(rngs, twins):
+        assert r.bit_generator.state == twin.bit_generator.state
+
+
+def lockstep_sample(inst):
+    """5 to 40 points under a Gaussian or linear kernel: distinct, repeated
+    (at most half distinct), or exactly k distinct points, with k from 1 to 5."""
+    g = np.random.default_rng([inst, 0x10C5])
+    n = int(g.integers(5, 41))
+    spec = KernelSpec("gaussian") if inst % 2 else KernelSpec("linear")
+    k = int(g.integers(1, 6))
+    X = g.normal(size=(n, 2))
+    if inst % 3 == 1:  # repeated rows, each of at least k points drawn
+        m = max(k, n // 2)
+        X = X[g.permutation(np.concatenate([np.arange(m), g.integers(m, size=n - m)]))]
+    elif inst % 3 == 2:  # every point on one of k: each run stops before its first round
+        X = X[:k][np.resize(g.permutation(k), n)]
+    return g, gram_matrix(spec, X), k
+
+
+class TestLockstep:
+    """Restarts on one Gram advanced together equal the calls one by one."""
+
+    def test_twenty_restarts_equal_sequential_calls(self):
+        kinds = set()
+        for inst in range(240):
+            g, K, k = lockstep_sample(inst)
+            assert_runs_equal_calls(K, k, np.random.default_rng([inst, 20]))
+            kinds.add((inst % 2, inst % 3, K.distinct is not None))
+        assert len(kinds) >= 6
+
+    def test_independent_generators_equal_sequential_calls(self):
+        for inst in range(60):
+            g, K, k = lockstep_sample(inst)
+            assert_runs_equal_calls(K, k, np.random.default_rng([inst, 21]), shared=False)
+
+
+def _next_uniform(fn, *args):
+    """What ``fn`` returns with its generator's next uniform (the last argument)."""
+    out = fn(*args)
+    out = out[0] if isinstance(out, tuple) and not hasattr(out[0], "labels") else out
+    return out, float(args[-1].random())
+
+
+class TestBatchOfOneGenerator:
+    """``kernel_kmeanspp``, ``local_search_improve`` and ``approximate_erm`` on a
+    caller's generator leave it where the round-by-round calls do."""
+
+    def sample(self, inst, distinct):
+        """6 to 29 copies of ``distinct`` points, copied rows equal bit for bit."""
+        g = np.random.default_rng([inst, 0xB1])
+        idx = np.resize(g.permutation(distinct), int(g.integers(6, 30)))
+        A = gram_matrix(_SCREEN_SPECS[inst % 3], g.normal(size=(distinct, 2))).entries
+        return GramMatrix.from_entries(A[np.ix_(idx, idx)], groups=idx)
+
+    def test_search_stops_before_its_first_draw(self):
+        for inst in range(20):
+            k = 1 + inst % 5
+            K = self.sample(inst, k)  # every point sits on a center after seeding
+            seed = kernel_kmeanspp(K, k, rng := np.random.default_rng(inst))
+            want = sequential_kmeanspp(K, k, ref := np.random.default_rng(inst))
+            assert seed.center_indices.tolist() == want.center_indices.tolist()
+            assert seed.cost == want.cost and rng.random() == ref.random()
+            got = _outcome(local_search_improve, K, seed, 25 * k, rng)
+            assert got == _outcome(sequential_local_search, K, seed, 25 * k, ref)
+            assert got[0][2] == 0
+            a, trace, swaps = approximate_erm(K, k, rng=rng)
+            a2, trace2, swaps2 = reference_approximate_erm(K, k, 25 * k, ref)
+            assert (a.labels.tolist(), trace.per_iteration_cost.tobytes(), swaps) == (
+                a2.labels.tolist(), trace2.per_iteration_cost.tobytes(), swaps2)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_seeding_that_runs_out_of_points_raises(self):
+        for inst in range(20):
+            k = 2 + inst % 4
+            K = self.sample(inst, k - 1)
+            with pytest.raises(EmptyCluster):
+                sequential_kmeanspp(K, k, np.random.default_rng(inst))
+            with pytest.raises(EmptyCluster):
+                kernel_kmeanspp(K, k, np.random.default_rng(inst))
+            with pytest.raises(EmptyCluster):
+                approximate_erm(K, k, rng=np.random.default_rng(inst))
+            with pytest.raises(EmptyCluster):
+                _erm_runs(K, k, [np.random.default_rng(inst)] * 3)
+
+    def test_zero_rounds(self):
+        for inst in range(20):
+            k = 1 + inst % 4
+            K = self.sample(inst, 2 * k + 1)
+            rng, ref = np.random.default_rng(inst), np.random.default_rng(inst)
+            seed = kernel_kmeanspp(K, k, rng)
+            sequential_kmeanspp(K, k, ref)
+            state = rng.bit_generator.state
+            assert local_search_improve(K, seed, 0, rng) is seed
+            assert rng.bit_generator.state == state
+            a, trace, swaps = approximate_erm(K, k, 0, rng)
+            a2, trace2, swaps2 = reference_approximate_erm(K, k, 0, ref)
+            assert (a.labels.tolist(), trace.per_iteration_cost.tobytes(), swaps) == (
+                a2.labels.tolist(), trace2.per_iteration_cost.tobytes(), swaps2)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestApproximateErm:

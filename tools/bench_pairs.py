@@ -16,9 +16,11 @@ side at the reference seed 42, and every per-layer metric is recorded.
 The JSON holds both shas, the seeds, the environment (cores, Python, numpy,
 BLAS, thread variables, machine), every run's end-to-end metrics, and per
 workload and metric each side's median and quartiles (linear interpolation),
-the median change, the parent's interquartile range and
+the median change, the parent's interquartile range,
 ``change_better_pairs``, the number of pairs in which the change's value was
-lower (every end-to-end metric is better lower).  It is written to
+lower (every end-to-end metric is better lower), and a ``verdict`` (gain,
+worse, unresolved or no worse) against ``BENCHMARK.json``'s bound, which is
+also printed.  It is written to
 ``BENCH_<label>.json`` at the repository root; progress goes to stderr.
 """
 
@@ -82,7 +84,34 @@ def quartiles(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """The change against its parent on one lower-is-better metric, by the
+    rules for claiming a gain in a small sandbox:
+
+    - ``gain``: the change is lower in at least nine tenths of the pairs (ties
+      count for neither) and its median lower by more than the parent's IQR
+    - ``worse``: its median exceeds the parent's by more than ``bound``, a
+      share of the parent's median
+    - ``unresolved``: the parent's IQR is wider than the bound, unless every
+      run of the change is lower than every run of the parent
+    - ``no worse``: otherwise
+    """
+    p, c = quartiles(parent), quartiles(change)
+    iqr = p["q3"] - p["q1"]
+    better = sum(b < a for a, b in zip(parent, change))
+    if 10 * better >= 9 * len(parent) and p["median"] - c["median"] > iqr:
+        return "gain"
+    if c["median"] > (1.0 + bound) * p["median"]:
+        return "worse"
+    if iqr > bound * p["median"] and not max(change) < min(parent):
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(pairs: list[dict], bounds: dict, workload: str = "") -> dict:
+    """Per metric: each side's quartiles, the pairs the change won, the median
+    change, the parent's IQR and the ``verdict`` against ``bounds[metric]``,
+    each verdict also printed to stderr."""
     summary = {}
     for name in METRICS:
         side = {s: [p[s][name] for p in pairs] for s in ("parent", "change")}
@@ -93,7 +122,11 @@ def summarize(pairs: list[dict]) -> dict:
             "change_better_pairs": sum(c < p for p, c in zip(side["parent"], side["change"])),
             "median_change": f"{100.0 * (stats['change']['median'] / parent_median - 1.0):+.1f}%",
             "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+            "verdict": verdict(side["parent"], side["change"], bounds[name]),
         }
+        print(f"{workload} {name}: {summary[name]['verdict']} (median {parent_median:.4g} -> "
+              f"{stats['change']['median']:.4g}, {summary[name]['median_change']}, "
+              f"{summary[name]['change_better_pairs']}/{len(pairs)} pairs lower)", file=sys.stderr)
     return summary
 
 
@@ -128,7 +161,9 @@ def main(argv=None) -> int:
     traced = [w for w in args.traced.split(",") if w]
     if args.pairs < 1 or not set(traced) <= set(WORKLOADS):
         parser.error(f"need --pairs >= 1 and traced workloads among {', '.join(WORKLOADS)}")
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     sides = {s: args.scratch / s for s in ("parent", "change")}
     shas = {s: checkout(rev, sides[s]) for s, rev in (("parent", args.parent),
@@ -151,7 +186,7 @@ def main(argv=None) -> int:
                       f"correct {r['correct']} failed {r['failed']}", file=sys.stderr)
             per_workload[w]["pairs"].append(pair)
     for w in WORKLOADS:
-        per_workload[w]["summary"] = summarize(per_workload[w]["pairs"])
+        per_workload[w]["summary"] = summarize(per_workload[w]["pairs"], bounds, w)
 
     traced_runs = {}
     for w in traced:
