@@ -609,7 +609,7 @@ def lockstep_sample(inst):
         X = X[g.permutation(np.concatenate([np.arange(m), g.integers(m, size=n - m)]))]
     elif inst % 3 == 2:  # every point on one of k: each run stops before its first round
         X = X[:k][np.resize(g.permutation(k), n)]
-    return g, gram_matrix(spec, X), k
+    return gram_matrix(spec, X), k
 
 
 class TestLockstep:
@@ -618,22 +618,15 @@ class TestLockstep:
     def test_twenty_restarts_equal_sequential_calls(self):
         kinds = set()
         for inst in range(240):
-            g, K, k = lockstep_sample(inst)
+            K, k = lockstep_sample(inst)
             assert_runs_equal_calls(K, k, np.random.default_rng([inst, 20]))
             kinds.add((inst % 2, inst % 3, K.distinct is not None))
         assert len(kinds) >= 6
 
     def test_independent_generators_equal_sequential_calls(self):
         for inst in range(60):
-            g, K, k = lockstep_sample(inst)
+            K, k = lockstep_sample(inst)
             assert_runs_equal_calls(K, k, np.random.default_rng([inst, 21]), shared=False)
-
-
-def _next_uniform(fn, *args):
-    """What ``fn`` returns with its generator's next uniform (the last argument)."""
-    out = fn(*args)
-    out = out[0] if isinstance(out, tuple) and not hasattr(out[0], "labels") else out
-    return out, float(args[-1].random())
 
 
 class TestBatchOfOneGenerator:
