@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 
 from ._common import fmt12, write_float_csv
-from .clustering import kernel_lloyd
 from .config import FLAG_KEYS, ExperimentConfig, _flag_help, load_config
 from .errors import ConfigError, KKMLabError
 from .kernels import effective_dimension, gram_matrix, spectrum_of
@@ -28,7 +27,7 @@ from .nystrom import (
 from .rademacher import lower_bound_construction, rad_check_cell
 from .risk import (METHOD_ALIASES, MPolicy, RiskReport, exact_vs_nystrom, run_cell,
                    scaling_fit, standard_benchmark)
-from .seeding import approximate_erm, kernel_kmeanspp
+from .seeding import _erm_runs, approximate_erm
 
 def _landmark_policy(key: str, mode: str, m, ny) -> MPolicy:
     """The landmark policy a config asks for; a bad one is a ConfigError that
@@ -48,17 +47,12 @@ def cmd_cluster(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     extra_lines = []
-    if method == "lloyd":
-        best = None
-        for r in range(cfg.cluster.restarts):
-            rng = np.random.default_rng([cfg.run.master_seed, 0xC1, r])
-            seed = kernel_kmeanspp(K, k, rng)
-            a, trace = kernel_lloyd(
-                K, seed.induced, max_iter=cfg.cluster.max_iter, rel_tol=cfg.cluster.rel_tol
-            )
-            if best is None or trace.per_iteration_cost[-1] < best[1].per_iteration_cost[-1]:
-                best = (a, trace)
-        assignment, trace = best
+    if method == "lloyd":  # k-means++ seeding and Lloyd, without local search
+        rngs = [np.random.default_rng([cfg.run.master_seed, 0xC1, r])
+                for r in range(cfg.cluster.restarts)]
+        fits = _erm_runs(K, k, rngs, 0, cfg.cluster.max_iter, cfg.cluster.rel_tol)
+        # ties go to the earliest restart: min keeps the first of equal keys
+        assignment, trace, _ = min(fits, key=lambda fit: fit[1].per_iteration_cost[-1])
     elif method == "approx":
         rng = np.random.default_rng([cfg.run.master_seed, 0xC2])
         assignment, trace, swaps = approximate_erm(

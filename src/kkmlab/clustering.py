@@ -89,17 +89,6 @@ def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int, weights=None):
     return KG, T, sizes
 
 
-def _labeling_linkage(K: GramMatrix, labels: np.ndarray, k: int):
-    """``_cluster_linkage`` of an unweighted labeling, kept on K for the last
-    one: a seed that ``cluster_cost`` scored starts ``kernel_lloyd`` free."""
-    key = (labels.tobytes(), k)
-    last = K._last_linkage
-    if key not in last:
-        last.clear()
-        last[key] = _cluster_linkage(K, labels, k)
-    return last[key]
-
-
 def _linkage_cost(K: GramMatrix, T: np.ndarray, sizes: np.ndarray) -> float:
     """Mean-centroid cost from the per-cluster sums of a populated labeling."""
     cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
@@ -112,7 +101,7 @@ def cluster_cost(K: GramMatrix, a: Assignment) -> float:
         raise ValueError("assignment and Gram matrix disagree on n")
     if np.any(a.cluster_sizes == 0):
         raise EmptyCluster("cluster_cost needs every cluster populated")
-    _, T, sizes = _labeling_linkage(K, a.labels, a.k)
+    _, T, sizes = _cluster_linkage(K, a.labels, a.k)
     return _linkage_cost(K, T, sizes)
 
 
@@ -191,7 +180,7 @@ def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float, margin):
             break
 
     trace = ClusterCostTrace(np.asarray(costs), converged, iterations)
-    trace.per_iteration_cost.setflags(write=False)  # a kernel_lloyd result is shared
+    trace.per_iteration_cost.setflags(write=False)  # repeated restarts share one result
     return Assignment.from_labels(labels, k), trace
 
 
@@ -202,22 +191,17 @@ def kernel_lloyd(
     rel_tol: float = 1e-9,
 ):
     """Lloyd iteration in feature space with centers at the implicit cluster
-    means; steps, empty-cluster repair and stopping rules are ``_lloyd``'s.  It
-    is deterministic, so a repeat of a start, k and stopping rules on one Gram
-    returns the first call's (immutable) assignment and trace."""
+    means; steps, empty-cluster repair and stopping rules are ``_lloyd``'s."""
     if init.n != K.n:
         raise ValueError("init and Gram matrix disagree on n")
 
     def fit(labels):
         # one Gram product per step: the linkage of a labeling gives its cost
         # and the next step's point-to-center distances
-        KG, T, sizes = _labeling_linkage(K, labels, init.k)
+        KG, T, sizes = _cluster_linkage(K, labels, init.k)
         return _linkage_cost(K, T, sizes), lambda: _point_center_dists(K, KG, T, sizes)
 
-    key = (init.labels.tobytes(), init.k, max_iter, rel_tol)
-    if key not in K._lloyd_fits:
-        K._lloyd_fits[key] = _lloyd(init, fit, max_iter, rel_tol, lambda: _cost_margin(K))
-    return K._lloyd_fits[key]
+    return _lloyd(init, fit, max_iter, rel_tol, lambda: _cost_margin(K))
 
 
 def _grow_partitions(K: np.ndarray, w: np.ndarray, k: int, cap=(np.inf,), rows=None, sums=None):

@@ -108,10 +108,13 @@ class GramMatrix:
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("Gram matrix must be square")
+        # exact symmetry so the stored matrix equals its transpose bitwise; the
+        # check follows it, since entries past about 9e307 overflow in the sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = 0.5 * (entries + entries.T)
         if not np.all(np.isfinite(entries)):
-            raise NonFiniteInput("Gram matrix entries contain non-finite values")
-        # exact symmetry so the stored matrix equals its transpose bitwise
-        return cls._frozen(0.5 * (entries + entries.T), groups)
+            raise NonFiniteInput("Gram matrix entries are non-finite or overflow when symmetrized")
+        return cls._frozen(entries, groups)
 
     @classmethod
     def _frozen(cls, entries: np.ndarray, groups=None) -> "GramMatrix":
@@ -141,16 +144,6 @@ class GramMatrix:
         sizes = np.bincount(groups).astype(float)
         trace = float(np.sum(self.diag))
         return DistinctGram(groups, rep, sizes, entries, dists, trace, _cost_margin(self))
-
-    @cached_property
-    def _lloyd_fits(self) -> dict:
-        """``kernel_lloyd``'s results on this matrix, filled on demand."""
-        return {}
-
-    @cached_property
-    def _last_linkage(self) -> dict:
-        """The per-cluster sums of the last labeling scored on this matrix."""
-        return {}
 
 
 def _cost_margin(K: GramMatrix) -> float:

@@ -12,7 +12,7 @@ nonincreasing per accepted swap by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,13 +108,14 @@ def _screen(K: GramMatrix, near, rows: np.ndarray, bar) -> np.ndarray:
     return grouped.min(axis=1) < bar + d.margin
 
 
-def _result_for_centers(K: GramMatrix, centers: np.ndarray, swaps: int) -> SeedingResult:
+def _result_for_centers(K: GramMatrix, centers, swaps: int, scored=True) -> SeedingResult:
+    """The centers' result, with a NaN cost unless ``scored``."""
     labels = np.argmin(dists_to_points(K, centers), axis=1)  # ties: lowest position
     induced = Assignment.from_labels(labels, len(centers))
     if np.any(induced.cluster_sizes == 0):
         raise EmptyCluster("duplicate data points left a center with no cell")
     centers = np.asarray(centers, dtype=np.int64)
-    return SeedingResult(centers, induced, cluster_cost(K, induced), swaps)
+    return SeedingResult(centers, induced, cluster_cost(K, induced) if scored else np.nan, swaps)
 
 
 def _dsq_draw(d2: np.ndarray, u: np.ndarray):
@@ -157,7 +158,8 @@ def _dsq_centers(dists_to, first: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingResult]:
     """k-means++ seeding (unless ``seeds`` holds a batch of one's) and ``rounds``
     rounds of local search for B runs on one Gram in lockstep, each run with
-    the result and generator state of its own round-by-round calls.
+    the result and generator state of its own round-by-round calls.  Only the
+    search reads a seed's cost: with ``rounds`` 0 it is NaN, not a Gram product.
 
     Run b draws from ``rngs[b]``; runs share one generator, in run order, or
     have one each.  Its uniforms are drawn up front in its calls' order:
@@ -186,7 +188,7 @@ def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingR
         u[b] = rng.random(rounds)
     if seeds is None:
         centers = _dsq_centers(lambda idx: dists_to_points(K, idx), first, u0)
-        seeds = [_result_for_centers(K, c, 0) for c in centers]
+        seeds = [_result_for_centers(K, c, 0, rounds > 0) for c in centers]
     if rounds == 0 or B == 0:
         return seeds
 
@@ -262,7 +264,8 @@ def kernel_kmeanspp(K: GramMatrix, k: int, rng=None) -> SeedingResult:
     If every point sits exactly on a chosen center before k are chosen
     (duplicated data), ``EmptyCluster``.
     """
-    return _runs(K, k, [ensure_rng(rng)], 0)[0]
+    seed = _runs(K, k, [ensure_rng(rng)], 0)[0]
+    return replace(seed, cost=cluster_cost(K, seed.induced))
 
 
 def local_search_improve(
@@ -276,8 +279,11 @@ def local_search_improve(
     Per round: draw a candidate point by D^2 sampling against the current
     centers, try swapping it for each center in turn, and keep the best
     strictly improving swap if any.  A batch of one ``_runs``, whose result
-    and generator state are the round-by-round loop's.
+    and generator state are the round-by-round loop's.  A seed fitted on a
+    Gram of another size is a ``ValueError``.
     """
+    if seed.induced.n != K.n:
+        raise ValueError("seed and Gram matrix disagree on n")
     if rounds == 0:
         return seed
     return _runs(K, len(seed.center_indices), [ensure_rng(rng)], rounds, [seed])[0]
@@ -285,10 +291,13 @@ def local_search_improve(
 
 def _erm_runs(K: GramMatrix, k: int, rngs, rounds: int | None = None, max_iter: int = 300,
               rel_tol: float = 1e-9) -> list[tuple]:
-    """``approximate_erm`` once per generator in ``rngs`` (see ``_runs``)."""
-    fits = _runs(K, k, rngs, 25 * k if rounds is None else rounds)
-    return [(*kernel_lloyd(K, s.induced, max_iter=max_iter, rel_tol=rel_tol), s.swaps_accepted)
-            for s in fits]
+    """``approximate_erm`` once per generator in ``rngs`` (see ``_runs``).
+    Lloyd is deterministic, so each distinct start runs once, and restarts
+    from one start share its assignment and read-only trace."""
+    runs = _runs(K, k, rngs, 25 * k if rounds is None else rounds)
+    fits = {s.induced.labels.tobytes(): s.induced for s in runs}  # in first-seen order
+    fits = {key: kernel_lloyd(K, a, max_iter=max_iter, rel_tol=rel_tol) for key, a in fits.items()}
+    return [(*fits[s.induced.labels.tobytes()], s.swaps_accepted) for s in runs]
 
 
 def approximate_erm(

@@ -302,7 +302,7 @@ def grid_supremum(data, sigma, rounds=4, res=81):
 
 
 def sequential_local_search(K, seed, rounds, rng):
-    """Round-by-round D^2 local search: the reference for the block loop.
+    """Round-by-round D^2 local search: the reference for ``seeding._runs``.
 
     One ``rng.random()`` per round, every swap scored on its own by
     ``_labels_cost``; returns the result and the indices of the rounds that

@@ -6,7 +6,6 @@ import pytest
 from kkmlab import (
     Assignment,
     KernelSpec,
-    approximate_erm,
     brute_force_erm,
     cluster_cost,
     gram_matrix,
@@ -178,6 +177,20 @@ class TestKernelLloyd:
         with pytest.raises(EmptyCluster):
             kernel_lloyd(K, Assignment.from_labels([0, 0, 1], 3))
 
+    def test_gram_keeps_nothing(self):
+        # kernel_lloyd and cluster_cost used to keep results and sums on K
+        K, a0 = self.blob_instance(1, 50, 3, "random")
+        before = set(vars(K))
+        a, _ = kernel_lloyd(K, a0)
+        cluster_cost(K, a)
+        assert set(vars(K)) == before
+
+    def test_labels_read_with_another_k_raise_empty_cluster(self):
+        K, a0 = self.blob_instance(3, 80, 4, "random")
+        kernel_lloyd(K, a0)
+        with pytest.raises(EmptyCluster):
+            kernel_lloyd(K, Assignment.from_labels(a0.labels, a0.k + 1))
+
     @staticmethod
     def blob_instance(seed, n, k, init):
         rng = np.random.default_rng(seed)
@@ -226,54 +239,6 @@ class TestKernelLloyd:
         _, trace = kernel_lloyd(K, a0, max_iter=4)
         assert not trace.converged
         assert len(calls) == trace.iterations + 1
-
-
-class TestLloydMemo:
-    @staticmethod
-    def outcome(a, trace, *rest):
-        return (a.labels.tolist(), trace.per_iteration_cost.tobytes(), trace.iterations,
-                trace.converged, *rest)
-
-    @staticmethod
-    def cold(K):
-        """The same Gram with an empty memo."""
-        return GramMatrix.from_entries(K.entries, K.groups)
-
-    def test_warm_memo_equals_cold(self):
-        for seed in range(6):
-            K, a0 = TestKernelLloyd.blob_instance(seed, 60, 2 + seed % 3, "kmeanspp")
-            warm = kernel_lloyd(K, a0)
-            assert kernel_lloyd(K, a0) is warm
-            assert self.outcome(*warm) == self.outcome(*kernel_lloyd(self.cold(K), a0))
-        # risk-lab samples repeat atoms, so approximate_erm's restarts repeat starts
-        rng = np.random.default_rng(8)
-        K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(6, 2))[rng.integers(6, size=40)])
-        for run in range(20):
-            warm = approximate_erm(K, 3, rng=np.random.default_rng(run))
-            cold = approximate_erm(self.cold(K), 3, rng=np.random.default_rng(run))
-            assert self.outcome(*warm) == self.outcome(*cold)
-        assert len(K._lloyd_fits) < 20
-
-    def test_other_k_or_stopping_rules_recompute(self, monkeypatch):
-        calls = []
-        real = clustering_module._lloyd
-        monkeypatch.setattr(clustering_module, "_lloyd", lambda *a: calls.append(1) or real(*a))
-        K, a0 = TestKernelLloyd.blob_instance(3, 80, 4, "random")
-        settings = [{}, {"max_iter": 2}, {"rel_tol": 1e-3}]
-        for kwargs in settings * 2:
-            kernel_lloyd(K, a0, **kwargs)
-        assert len(calls) == len(settings)
-        # the same labels read with another k: recomputed, so the empty cluster shows
-        with pytest.raises(EmptyCluster):
-            kernel_lloyd(K, Assignment.from_labels(a0.labels, a0.k + 1))
-        assert len(calls) == len(settings) + 1
-
-    def test_shared_trace_is_read_only(self):
-        K, a0 = TestKernelLloyd.blob_instance(1, 50, 3, "random")
-        _, trace = kernel_lloyd(K, a0)
-        with pytest.raises(ValueError, match="read-only"):
-            trace.per_iteration_cost[-1] = 0.0
-        assert kernel_lloyd(K, a0)[1] is trace
 
 
 class TestBruteForceErm:

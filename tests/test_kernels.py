@@ -75,6 +75,15 @@ class TestGramMatrix:
         with pytest.raises(NonFiniteInput, match="Gram matrix entries"):
             GramMatrix.from_entries(entries)
 
+    def test_symmetrizing_overflow_rejected(self):
+        # finite entries whose symmetrizing sum overflows to +-inf: the costs
+        # used to be nan, and brute_force_erm raised InvariantViolated
+        entries = [[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="Gram matrix entries"):
+                GramMatrix.from_entries(entries)
+
     @pytest.mark.parametrize("family", ["gaussian", "linear", "polynomial"])
     def test_overflow_warns_nothing(self, family):
         # each build used to warn of overflow in matmul, the Gaussian one of an invalid subtract too

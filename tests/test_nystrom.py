@@ -362,7 +362,6 @@ class TestEuclideanLloyd:
         _, trace = run()  # no rise: the margin is never worked out
         assert trace.iterations > 1 and not margin_calls
         for factor in (2.0, 0.5):
-            K._lloyd_fits.clear()
             rise[:] = [factor * margin]
             if factor > 1:
                 with pytest.raises(InvariantViolated, match="raised the cost"):

@@ -11,6 +11,7 @@ from kkmlab import (
     cluster_cost,
     gram_matrix,
     kernel_kmeanspp,
+    kernel_lloyd,
     local_search_improve,
 )
 from kkmlab import seeding
@@ -237,6 +238,17 @@ class TestLocalSearch:
         out = local_search_improve(K, seed, 0, rng)
         assert out is seed
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_seed_from_another_gram_rejected(self, n):
+        # on 20 points numpy raised IndexError; on 40 that extend the 30, the
+        # 30-point seed's cost was the bar, so no swap could beat it
+        X = np.random.default_rng(6).normal(size=(40, 2))
+        seed = kernel_kmeanspp(gram_matrix(KernelSpec("gaussian"), X[:30]), 3,
+                               np.random.default_rng(6))
+        with pytest.raises(ValueError, match="seed and Gram matrix disagree on n"):
+            local_search_improve(gram_matrix(KernelSpec("gaussian"), X[:n]), seed, 10,
+                                 np.random.default_rng(7))
+
     def test_no_swap_accepted_from_optimal_seed(self):
         for inst in range(10):
             rng = np.random.default_rng(100 + inst)
@@ -287,7 +299,7 @@ def _outcome(search, K, seed, rounds, rng):
 
 
 class TestBlockLoop:
-    """The block loop against the round-by-round oracle: equal centers, cost
+    """``local_search_improve`` against the round-by-round oracle: equal centers, cost
     bits, swap count and generator state."""
 
     def test_equals_sequential_loop(self):
@@ -574,10 +586,10 @@ class TestScreen:
             assert got == _outcome(sequential_local_search, K, seed, 31, np.random.default_rng(1))
 
 
-def assert_runs_equal_calls(K, k, rng, restarts=20, shared=True):
-    """One ``_erm_runs`` batch against ``restarts`` ``approximate_erm`` calls
-    on a separate Gram with the same entries (so Lloyd is not taken from the
-    batch's memo): the same labels, trace bits, swaps and generator states."""
+def assert_runs_equal_calls(K, k, rng, restarts=20, shared=True, rounds=None):
+    """One ``_erm_runs`` batch against ``restarts`` ``approximate_erm`` calls,
+    or with ``rounds=0`` against ``kernel_kmeanspp`` and ``kernel_lloyd`` per
+    generator: the same labels, trace bits, swaps and generator states."""
     state = rng.bit_generator.state
     rngs = [rng] * restarts if shared else [np.random.default_rng([int(rng.integers(2**32)), r])
                                              for r in range(restarts)]
@@ -585,10 +597,12 @@ def assert_runs_equal_calls(K, k, rng, restarts=20, shared=True):
     for twin, r in zip(twins, rngs):
         twin.bit_generator.state = state if shared else r.bit_generator.state
     twins = [twins[0]] * restarts if shared else twins
-    batch = _erm_runs(K, k, rngs)
-    K2 = GramMatrix.from_entries(K.entries, groups=K.groups)
+    batch = _erm_runs(K, k, rngs, rounds)
     for b, (a, trace, swaps) in enumerate(batch):
-        a2, trace2, swaps2 = approximate_erm(K2, k, rng=twins[b])
+        if rounds == 0:
+            a2, trace2, swaps2 = *kernel_lloyd(K, kernel_kmeanspp(K, k, twins[b]).induced), 0
+        else:
+            a2, trace2, swaps2 = approximate_erm(K, k, rng=twins[b])
         assert a.labels.tolist() == a2.labels.tolist(), b
         assert trace.per_iteration_cost.tobytes() == trace2.per_iteration_cost.tobytes(), b
         assert swaps == swaps2, b
@@ -627,6 +641,29 @@ class TestLockstep:
         for inst in range(60):
             K, k = lockstep_sample(inst)
             assert_runs_equal_calls(K, k, np.random.default_rng([inst, 21]), shared=False)
+
+    def test_lloyd_restarts_equal_sequential_calls(self):
+        # cluster --method lloyd: seeding and Lloyd, one generator per restart
+        for inst in range(60):
+            K, k = lockstep_sample(inst)
+            assert_runs_equal_calls(K, k, np.random.default_rng([inst, 22]), restarts=10,
+                                    shared=False, rounds=0)
+
+    def test_repeated_starts_share_one_read_only_fit(self, monkeypatch):
+        starts, real = [], seeding.kernel_lloyd
+
+        def recorded(K, init, **kwargs):
+            starts.append(init.labels.tobytes())
+            return real(K, init, **kwargs)
+
+        monkeypatch.setattr(seeding, "kernel_lloyd", recorded)
+        rng = np.random.default_rng(8)  # 40 copies of 6 points: restarts repeat starts
+        K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(6, 2))[rng.integers(6, size=40)])
+        fits = _erm_runs(K, 3, [np.random.default_rng(8)] * 20)
+        assert len(set(starts)) == len(starts) < 20
+        assert len({(id(a), id(trace)) for a, trace, _ in fits}) == len(starts)
+        with pytest.raises(ValueError, match="read-only"):
+            fits[0][1].per_iteration_cost[-1] = 0.0
 
 
 class TestBatchOfOneGenerator:
