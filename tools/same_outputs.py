@@ -106,16 +106,16 @@ def compare(parent: dict[str, dict], change: dict[str, dict]) -> tuple[list[str]
     that differ, and whether any op differs."""
     lines, differs = [], False
     for op in [*parent, *(op for op in change if op not in parent)]:
-        if op not in parent or op not in change:
-            lines.append(f"{op}: DIFFERS (only the {'change' if op in change else 'parent'} ran it)")
-        elif parent[op] == change[op]:
+        if op in parent and op in change and parent[op] == change[op]:
             lines.append(f"{op}: same")
             continue
+        differs = True
+        if op not in parent or op not in change:
+            lines.append(f"{op}: DIFFERS (only the {'change' if op in change else 'parent'} ran it)")
         else:
             parts = sorted(k for k in parent[op].keys() | change[op].keys()
                            if parent[op].get(k) != change[op].get(k))
             lines.append(f"{op}: DIFFERS in {', '.join(parts)}")
-        differs = True
     return lines, differs
 
 
