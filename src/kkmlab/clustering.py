@@ -79,20 +79,21 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
 def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int, weights=None):
     """Per-cluster kernel sums: KG[i, j] = sum_{t in C_j} w_t K_it,
     T[j] = sum_{t, t' in C_j} w_t w_t' K_tt' and sizes[j] = sum_{t in C_j} w_t,
-    with every weight w_t = 1 unless ``weights`` are given."""
+    with every weight w_t = 1 unless ``weights`` are given; for a (B, n) stack
+    of labelings, each with a leading B axis and each labeling's bits."""
     G = _onehot(labels, k)
     if weights is not None:
         G *= weights[:, None]
-    KG = K.entries @ G
-    T = np.einsum("ij,ij->j", G, KG)
-    sizes = G.sum(axis=0)
+    KG = np.matmul(K.entries, G)
+    T = np.einsum("...ij,...ij->...j", G, KG)
+    sizes = G.sum(axis=-2)
     return KG, T, sizes
 
 
-def _linkage_cost(K: GramMatrix, T: np.ndarray, sizes: np.ndarray) -> float:
-    """Mean-centroid cost from the per-cluster sums of a populated labeling."""
-    cost = (float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n
-    return max(cost, 0.0)
+def _linkage_cost(K: GramMatrix, T: np.ndarray, sizes: np.ndarray):
+    """Mean-centroid cost from the per-cluster sums of a populated labeling,
+    or one per row of a stack of them."""
+    return np.maximum((float(np.sum(K.diag)) - np.sum(T / sizes, axis=-1)) / K.n, 0.0)
 
 
 def cluster_cost(K: GramMatrix, a: Assignment) -> float:
@@ -102,18 +103,15 @@ def cluster_cost(K: GramMatrix, a: Assignment) -> float:
     if np.any(a.cluster_sizes == 0):
         raise EmptyCluster("cluster_cost needs every cluster populated")
     _, T, sizes = _cluster_linkage(K, a.labels, a.k)
-    return _linkage_cost(K, T, sizes)
+    return float(_linkage_cost(K, T, sizes))
 
 
-def _point_center_dists(
-    K: GramMatrix, KG: np.ndarray, T: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
+def _point_center_dists(K: GramMatrix, KG: np.ndarray, T: np.ndarray, sizes: np.ndarray):
     """(n, k) squared distances to every cluster mean, from the labeling's
-    ``_cluster_linkage``; empty clusters get +inf."""
+    ``_cluster_linkage``, or (B, n, k) from a stack's; empty clusters get +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        D = K.diag[:, None] - 2.0 * KG / sizes[None, :] + (T / sizes**2)[None, :]
-    D[:, sizes == 0] = np.inf
-    return np.clip(D, 0.0, None)
+        D = K.diag[:, None] - 2.0 * KG / sizes[..., None, :] + (T / sizes**2)[..., None, :]
+    return np.clip(np.where(sizes[..., None, :] == 0, np.inf, D), 0.0, None)
 
 
 def _repair_empty(labels: np.ndarray, k: int, dist_to_own: np.ndarray) -> np.ndarray:
@@ -135,73 +133,95 @@ def _repair_empty(labels: np.ndarray, k: int, dist_to_own: np.ndarray) -> np.nda
     return labels
 
 
-def _lloyd(init: Assignment, fit, max_iter: int, rel_tol: float, margin):
-    """Lloyd iteration in the geometry that ``fit`` describes: ``fit(labels)``
-    returns the labeling's cost and a callable giving the (n, k) squared
-    distances from every point to its cluster means.  A step that raises the
-    cost by more than ``margin()``, a rounding bound, is ``InvariantViolated``.
-
-    Each step reassigns every point to its nearest center (ties broken toward
-    the lowest cluster index).  A cluster that empties is repaired by donating
-    the point currently farthest from its own center, which keeps k fixed and
-    never increases the cost.  Stops when labels are unchanged (their cost is
-    repeated, not refit), the relative cost drop falls below ``rel_tol``, or
-    ``max_iter`` is reached.  The trace's costs are read-only.
-    """
+def _check_lloyd(max_iter: int, rel_tol: float) -> None:
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not rel_tol >= 0:
         raise ValueError("rel_tol must be >= 0")
-    if np.any(init.cluster_sizes == 0):
+
+
+def _lloyd(inits, fit, max_iter: int, rel_tol: float, margin):
+    """Lloyd iteration from each start in ``inits`` (one k), in lockstep, in
+    the geometry that ``fit`` describes: ``fit(labels)`` returns the costs of a
+    (b, n) stack of labelings and a callable giving, for some ``rows`` of the
+    stack, the (len(rows), n, k) squared distances from every point to its
+    cluster means.  A step that raises a run's cost by more than ``margin()``,
+    a rounding bound, is ``InvariantViolated``.
+
+    Each step reassigns every point to its nearest center (ties broken toward
+    the lowest cluster index).  A cluster that empties is repaired by donating
+    the point currently farthest from its own center, which keeps k fixed and
+    never increases the cost.  A run stops when its labels are unchanged
+    (their cost is repeated, not refit), its relative cost drop falls below
+    ``rel_tol``, or ``max_iter`` is reached; each step fits only the runs
+    still moving.  Returns one (assignment, trace) per start, each what a
+    batch of its own returns; the traces' costs are read-only.
+    """
+    _check_lloyd(max_iter, rel_tol)
+    if any(np.any(a.cluster_sizes == 0) for a in inits):
         raise EmptyCluster("initial assignment has an empty cluster")
 
-    labels, k = init.labels, init.k
+    labels, k = np.array([a.labels for a in inits]), inits[0].k
     cost, dists = fit(labels)
-    costs = [cost]
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        D = dists()
-        new_labels = np.argmin(D, axis=1)
-        if np.any(np.bincount(new_labels, minlength=k) == 0):
-            new_labels = _repair_empty(new_labels, k, D[np.arange(len(D)), new_labels])
-        if np.array_equal(new_labels, labels):
-            costs.append(costs[-1])  # fit is deterministic: the same labels, the same bits
-            converged = True
+    costs = [[float(c)] for c in cost]
+    converged, iterations = [False] * len(inits), [max_iter] * len(inits)
+    live = rows = np.arange(len(inits))  # the moving runs, and their rows in the last fit
+    for it in range(1, max_iter + 1):
+        D = dists(rows)
+        new = np.argmin(D, axis=-1)
+        for r in np.flatnonzero(~(new[:, :, None] == np.arange(k)).any(axis=1).all(axis=1)):
+            new[r] = _repair_empty(new[r], k, D[r, np.arange(D.shape[1]), new[r]])
+        same = (new == labels[live]).all(axis=1)
+        for b in live[same]:
+            costs[b].append(costs[b][-1])  # fit is deterministic: the same labels, the same bits
+            converged[b], iterations[b] = True, it
+        live, new = live[~same], new[~same]
+        if not live.size:
             break
-        cost, dists = fit(new_labels)
-        costs.append(cost)
-        labels = new_labels
-        prev = costs[-2]
-        if cost > prev and cost - prev > margin():  # the margin only when a rise is seen
-            raise InvariantViolated(f"a Lloyd step raised the cost from {prev!r} to {cost!r}")
-        drop = (prev - cost) / prev if prev > 0 else 0.0
-        if drop < rel_tol:
-            converged = True
+        labels[live] = new
+        cost, dists = fit(new)
+        moving = []
+        for r, (b, c) in enumerate(zip(live, map(float, cost))):
+            prev = costs[b][-1]
+            costs[b].append(c)
+            if c > prev and c - prev > margin():  # the margin only when a rise is seen
+                raise InvariantViolated(f"a Lloyd step raised the cost from {prev!r} to {c!r}")
+            iterations[b] = it
+            if ((prev - c) / prev if prev > 0 else 0.0) < rel_tol:
+                converged[b] = True
+            else:
+                moving.append(r)
+        live, rows = live[moving], np.array(moving, dtype=np.int64)
+        if not live.size:
             break
 
-    trace = ClusterCostTrace(np.asarray(costs), converged, iterations)
-    trace.per_iteration_cost.setflags(write=False)  # repeated restarts share one result
-    return Assignment.from_labels(labels, k), trace
+    out = []
+    for b in range(len(inits)):
+        trace = ClusterCostTrace(np.asarray(costs[b], dtype=float), converged[b], iterations[b])
+        trace.per_iteration_cost.setflags(write=False)  # repeated restarts share one result
+        out.append((Assignment.from_labels(labels[b], k), trace))
+    return out
 
 
-def kernel_lloyd(
-    K: GramMatrix,
-    init: Assignment,
-    max_iter: int = 300,
-    rel_tol: float = 1e-9,
-):
+def _kernel_lloyd(K: GramMatrix, inits, max_iter: int, rel_tol: float):
+    """``kernel_lloyd`` from each start in ``inits``, in one ``_lloyd`` batch."""
+
+    def fit(labels):
+        # one stacked Gram product per step: the linkage of the labelings gives
+        # their costs and the next step's point-to-center distances
+        KG, T, sizes = _cluster_linkage(K, labels, inits[0].k)
+        return _linkage_cost(K, T, sizes), lambda rows: _point_center_dists(
+            K, KG[rows], T[rows], sizes[rows])
+
+    return _lloyd(inits, fit, max_iter, rel_tol, lambda: _cost_margin(K))
+
+
+def kernel_lloyd(K: GramMatrix, init: Assignment, max_iter: int = 300, rel_tol: float = 1e-9):
     """Lloyd iteration in feature space with centers at the implicit cluster
     means; steps, empty-cluster repair and stopping rules are ``_lloyd``'s."""
     if init.n != K.n:
         raise ValueError("init and Gram matrix disagree on n")
-
-    def fit(labels):
-        # one Gram product per step: the linkage of a labeling gives its cost
-        # and the next step's point-to-center distances
-        KG, T, sizes = _cluster_linkage(K, labels, init.k)
-        return _linkage_cost(K, T, sizes), lambda: _point_center_dists(K, KG, T, sizes)
-
-    return _lloyd(init, fit, max_iter, rel_tol, lambda: _cost_margin(K))
+    return _kernel_lloyd(K, [init], max_iter, rel_tol)[0]
 
 
 def _grow_partitions(K: np.ndarray, w: np.ndarray, k: int, cap=(np.inf,), rows=None, sums=None):

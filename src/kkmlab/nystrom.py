@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import ensure_rng
+from ._common import as_points, ensure_rng
 from .clustering import Assignment, _lloyd, _onehot
 from .errors import (
     EmptyCluster,
@@ -179,50 +179,64 @@ def _zspace_cost(Z: np.ndarray, labels: np.ndarray, k: int) -> float:
     return cost / Z.shape[0]
 
 
-def _sq_dists(Z: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances ||z_i||^2 - 2 z_i . c_j + ||c_j||^2, unclipped."""
-    return np.einsum("ij,ij->i", Z, Z)[:, None] - 2.0 * (Z @ C.T) + np.einsum("ij,ij->i", C, C)
+def _sq_dists(zz: np.ndarray, Z: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances ||z_i||^2 - 2 z_i . c_j + ||c_j||^2, unclipped,
+    with zz the ||z_i||^2; (B, n, k) for a (B, k, d) stack of center sets."""
+    return zz[:, None] - 2.0 * np.matmul(Z, C.swapaxes(-1, -2)) + np.einsum(
+        "...ij,...ij->...i", C, C)[..., None, :]
 
 
-def _zspace_dists(Z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _zspace_dists(zz: np.ndarray, Z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(B, n, k) squared distances to the coordinates' cluster means of each
+    of the (B, n) labelings; empty clusters get +inf."""
     G = _onehot(labels, k)
-    sizes = G.sum(axis=0)
+    sizes = G.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        centers = (G.T @ Z) / sizes[:, None]
-    D = _sq_dists(Z, centers)
-    D[:, sizes == 0] = np.inf
-    return np.clip(D, 0.0, None)
+        centers = np.matmul(G.swapaxes(1, 2), Z) / sizes[:, :, None]
+    return np.clip(np.where(sizes[:, None, :] == 0, np.inf, _sq_dists(zz, Z, centers)), 0.0, None)
 
 
-def euclidean_lloyd(
-    Z: np.ndarray,
-    init: Assignment,
-    max_iter: int = 300,
-    rel_tol: float = 1e-9,
-):
+def _euclidean_lloyd(Z: np.ndarray, inits, max_iter: int = 300, rel_tol: float = 1e-9):
+    """``euclidean_lloyd`` from each start in ``inits``, in one ``_lloyd`` batch."""
+    k, zz = inits[0].k, np.einsum("ij,ij->i", Z, Z)
+
+    def fit(labels):
+        # costs from the coordinates' own means: summed from the distances they round differently
+        return (np.array([_zspace_cost(Z, row, k) for row in labels]),
+                lambda rows: _zspace_dists(zz, Z, labels[rows], k))
+
+    return _lloyd(inits, fit, max_iter, rel_tol, lambda: _rounding_margin(len(Z), float(zz.max())))
+
+
+def euclidean_lloyd(Z: np.ndarray, init: Assignment, max_iter: int = 300, rel_tol: float = 1e-9):
     """Plain Lloyd iteration on embedded coordinates: the kernel-space loop
     (``kernel_lloyd``) with centers restricted to the coordinates' means, and
     the rounding margin of the linear kernel on them."""
+    Z = as_points(Z, "Z")
     if init.n != Z.shape[0]:
         raise ValueError("init and coordinates disagree on n")
+    return _euclidean_lloyd(Z, [init], max_iter, rel_tol)[0]
 
-    def fit(labels):
-        # cost from the coordinates' own means: summed from the distances it rounds differently
-        return _zspace_cost(Z, labels, init.k), lambda: _zspace_dists(Z, labels, init.k)
 
-    return _lloyd(init, fit, max_iter, rel_tol,
-                  lambda: _rounding_margin(len(Z), float(np.einsum("ij,ij->i", Z, Z).max())))
+def _euclidean_kmeanspp(Z: np.ndarray, k: int, rng, runs: int) -> np.ndarray:
+    """(runs, n) labels of ``runs`` D^2 seedings on the coordinates, drawn up
+    front from ``rng`` as ``runs`` calls of ``euclidean_kmeanspp_labels`` draw;
+    the kernel-space sampler, so seeded runs line up across the geometries."""
+    _check_k(k, len(Z))
+    first, u = np.empty(runs, np.int64), np.empty((runs, k - 1))
+    for b in range(runs):
+        first[b], u[b] = rng.integers(len(Z), size=1)[0], rng.random(k - 1)
+    # one run's column at a time: an (n, runs, d) broadcast would hold them all
+    centers = _dsq_centers(lambda idx: np.array([np.sum((Z - Z[i]) ** 2, axis=1) for i in idx]).T,
+                           first, u)
+    return np.argmin(_sq_dists(np.einsum("ij,ij->i", Z, Z), Z, Z[centers]), axis=-1)
 
 
 def euclidean_kmeanspp_labels(Z: np.ndarray, k: int, rng) -> Assignment:
-    """D^2-sampling seeding on Euclidean coordinates; the same sampler as the
-    kernel-space seeding, so seeded runs line up across the two geometries."""
-    rng = ensure_rng(rng)
-    _check_k(k, len(Z))
-    centers = _dsq_centers(lambda idx: np.sum((Z - Z[idx[0]]) ** 2, axis=1)[:, None],  # one run
-                           rng.integers(len(Z), size=1), rng.random((1, k - 1)))[0]
-    labels = np.argmin(_sq_dists(Z, Z[centers]), axis=1).astype(np.int64)
-    return Assignment.from_labels(labels, k)
+    """D^2-sampling seeding on Euclidean coordinates: ``_euclidean_kmeanspp``'s
+    batch of one."""
+    Z = as_points(Z, "Z")
+    return Assignment.from_labels(_euclidean_kmeanspp(Z, k, ensure_rng(rng), 1)[0], k)
 
 
 def nystrom_kkmeans(
@@ -242,6 +256,8 @@ def nystrom_kkmeans(
     """
     if init_labels is not None and init_labels.n != K.n:
         raise ValueError("init and coordinates disagree on n")
+    if init_labels is not None and init_labels.k != k:
+        raise ValueError(f"init_labels has k={init_labels.k}, not k={k}")
     emb = nystrom_embed(K, L)
     if init_labels is None:
         init_labels = euclidean_kmeanspp_labels(emb.coords, k, rng)
@@ -255,6 +271,8 @@ def landmark_coefficients(emb: EmbeddedDataset, a: Assignment) -> np.ndarray:
     """Cluster-mean centers expressed as coefficient vectors over the
     landmark points (k x m); row j reconstructs center j as a combination of
     landmark features."""
+    if a.n != emb.coords.shape[0]:
+        raise ValueError(f"assignment has n={a.n}, the embedding n={emb.coords.shape[0]}")
     G = _onehot(a.labels, a.k)
     sizes = G.sum(axis=0)
     if np.any(sizes == 0):

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .kernels import GramMatrix, KernelSpec, _cost_margin, capped_effective_dimension, gram_matrix
 from .nystrom import (
-    euclidean_kmeanspp_labels,
-    euclidean_lloyd,
+    _euclidean_kmeanspp,
+    _euclidean_lloyd,
     landmark_coefficients,
     landmark_size,
     nystrom_embed,
@@ -280,12 +280,12 @@ def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> O
         fits.setdefault(a.labels.tobytes(), a.labels)
 
     def fit(labels):  # Lloyd in the weighted geometry: weighted costs and means
-        cost = _weighted_partition_costs(K.entries, w, labels[None], k)[0]
-        return float(cost), lambda: _point_center_dists(K, *_cluster_linkage(K, labels, k, w))
+        return _weighted_partition_costs(K.entries, w, labels, k), lambda rows: _point_center_dists(
+            K, *_cluster_linkage(K, labels[rows], k, w))
 
     best = np.inf
-    for labels in fits.values():
-        a, _ = _lloyd(Assignment.from_labels(labels, k), fit, 100, 0.0, lambda: m)
+    for a, _ in _lloyd([Assignment.from_labels(labels, k) for labels in fits.values()],
+                       fit, 100, 0.0, lambda: m):
         best = min(best, population_risk(P, _weighted_mean_centers(w, a.labels, k)))
     return OptimalRisk(value=max(best, 0.0), exact=False)
 
@@ -326,11 +326,9 @@ def _fit_once(K: GramMatrix, k: int, method: str, policy: MPolicy, rng):
             warnings.simplefilter("ignore", SingularLandmarkBlockWarning)
             emb = nystrom_embed(K, L)
         resid = float(np.mean(emb.residuals))
-        starts = {}  # Lloyd is deterministic and draws nothing: each distinct start runs once
-        for _ in range(_EXACT_ERM_RESTARTS):
-            start = euclidean_kmeanspp_labels(emb.coords, k, rng)
-            starts.setdefault(start.labels.tobytes(), start)
-        fits = [euclidean_lloyd(emb.coords, start) for start in starts.values()]
+        # Lloyd is deterministic and draws nothing: each distinct start runs once
+        starts = {s.tobytes(): s for s in _euclidean_kmeanspp(emb.coords, k, rng, _EXACT_ERM_RESTARTS)}
+        fits = _euclidean_lloyd(emb.coords, [Assignment.from_labels(s, k) for s in starts.values()])
         a, trace = min(fits, key=lambda fit: float(fit[1].per_iteration_cost[-1]) + resid)
         beta = landmark_coefficients(emb, a)  # (k, m) over landmark positions
         gamma = np.zeros((k, n))

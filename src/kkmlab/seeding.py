@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._common import ensure_rng
-from .clustering import Assignment, cluster_cost, kernel_lloyd
+from .clustering import Assignment, _check_lloyd, _kernel_lloyd, cluster_cost
 from .errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from .kernels import GramMatrix, dists_to_points
 
@@ -44,6 +44,15 @@ class SeedingResult:
     swaps_accepted: int
 
 
+def _min_k(a: np.ndarray) -> np.ndarray:
+    """``a.min(axis=-1)`` a column at a time: numpy reduces a short last axis
+    row by row, far slower, and a min is exact, so the bits are the same."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.minimum(out, a[..., j], out=out)
+    return out
+
+
 def _nearest_others(center_dists: np.ndarray):
     """Per center position p and point i of (..., n, k) distances: the
     nearest center other than p, its distance, and whether p wins a tie with
@@ -56,8 +65,7 @@ def _nearest_others(center_dists: np.ndarray):
     first = first[..., None, :]
     is_first = pos == first
     other = np.where(is_first, np.argmin(rest, axis=-1)[..., None, :], first)
-    other_d = np.where(is_first, rest.min(axis=-1)[..., None, :],
-                       center_dists.min(axis=-1)[..., None, :])
+    other_d = np.where(is_first, _min_k(rest)[..., None, :], _min_k(center_dists)[..., None, :])
     return other, other_d, pos < other
 
 
@@ -81,6 +89,13 @@ def _weighted_swap_costs(gram, near, cand_cols, weights, trace: float, n: int) -
     cand = cand_cols.T[:, None, :]
     takes_cand = (cand < other_d) | ((cand == other_d) & wins_tie)
     labels = np.where(takes_cand, np.arange(k)[:, None], other).reshape(-1, rows)
+    return _weighted_costs(gram, labels, k, weights, trace, n).reshape(-1, k)
+
+
+def _weighted_costs(gram, labels, k: int, weights, trace: float, n: int) -> np.ndarray:
+    """Mean-centroid costs, or +inf where a cluster is empty, of the (P, rows)
+    labelings of the rows of ``gram``, row u standing for ``weights[u]`` of
+    the n points: each trial with its own product in one stacked call."""
     W = (labels[:, :, None] == np.arange(k)) * weights[:, None]
     sizes = W.sum(axis=1)
     T = np.einsum("pij,pij->pj", W, np.matmul(gram, W))
@@ -88,7 +103,7 @@ def _weighted_swap_costs(gram, near, cand_cols, weights, trace: float, n: int) -
         costs = (trace - (T / sizes).sum(axis=1)) / n
     costs = np.maximum(costs, 0.0)
     costs[(sizes == 0).any(axis=1)] = np.inf
-    return costs.reshape(-1, k)
+    return costs
 
 
 def _swap_costs(K: GramMatrix, near, cand_cols: np.ndarray) -> np.ndarray:
@@ -105,17 +120,7 @@ def _screen(K: GramMatrix, near, rows: np.ndarray, bar) -> np.ndarray:
     distances, so the same labels."""
     d = K.distinct
     grouped = _weighted_swap_costs(d.entries, near, d.dists[:, rows], d.sizes, d.trace, K.n)
-    return grouped.min(axis=1) < bar + d.margin
-
-
-def _result_for_centers(K: GramMatrix, centers, swaps: int, scored=True) -> SeedingResult:
-    """The centers' result, with a NaN cost unless ``scored``."""
-    labels = np.argmin(dists_to_points(K, centers), axis=1)  # ties: lowest position
-    induced = Assignment.from_labels(labels, len(centers))
-    if np.any(induced.cluster_sizes == 0):
-        raise EmptyCluster("duplicate data points left a center with no cell")
-    centers = np.asarray(centers, dtype=np.int64)
-    return SeedingResult(centers, induced, cluster_cost(K, induced) if scored else np.nan, swaps)
+    return _min_k(grouped) < bar + d.margin
 
 
 def _dsq_draw(d2: np.ndarray, u: np.ndarray):
@@ -188,14 +193,21 @@ def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingR
         u[b] = rng.random(rounds)
     if seeds is None:
         centers = _dsq_centers(lambda idx: dists_to_points(K, idx), first, u0)
-        seeds = [_result_for_centers(K, c, 0, rounds > 0) for c in centers]
-    if rounds == 0 or B == 0:
-        return seeds
-
-    centers = np.array([s.center_indices for s in seeds], dtype=np.int64)
-    cost = np.array([s.cost for s in seeds])
-    swaps = np.array([s.swaps_accepted for s in seeds])
+        swaps = np.zeros(B, np.int64)
+    else:
+        centers = np.array([s.center_indices for s in seeds], dtype=np.int64)
+        cost = np.array([s.cost for s in seeds])
+        swaps = np.array([s.swaps_accepted for s in seeds])
     cd = dists_to_points(K, centers.ravel()).reshape(n, B, k).transpose(1, 0, 2).copy()
+    if seeds is None:  # every seed labelled from one table, and scored in one stacked product
+        labels = np.argmin(cd, axis=2)  # ties: lowest position
+        if not (labels[:, :, None] == np.arange(k)).any(axis=1).all():
+            raise EmptyCluster("duplicate data points left a center with no cell")
+        if rounds == 0:
+            return [SeedingResult(c, Assignment.from_labels(a, k), np.nan, 0)
+                    for c, a in zip(centers, labels)]
+        cost = _weighted_costs(K.entries, labels, k, np.ones(n), float(np.sum(K.diag)), n)
+
     d = K.distinct
     near = tuple(np.empty((B, k, n), dtype) for dtype in (np.int64, float, bool))
     draws, keep = np.empty((B, rounds), np.int64), np.zeros((B, rounds), bool)  # keep: to score
@@ -203,7 +215,7 @@ def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingR
     width, max_width = np.ones(B, np.int64), max(1, _BLOCK_ELEMENTS // (B * n * k * k))
     while True:
         if moved.size:  # draws, screen and trial labels for the runs' new centers
-            d2 = cd[moved].min(axis=2)
+            d2 = _min_k(cd[moved])
             stop = ~(d2.sum(axis=1) > 0.0)  # every point sits on a center
             used[moved[stop]] = t[moved[stop]]
             keep[moved], width[moved] = False, 1
@@ -231,7 +243,7 @@ def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingR
         cols = dists_to_points(K, np.where(cand < 0, ~cand, cand))
         costs = _swap_costs(K, tuple(a[r] for a in near), cols)
         keep[r, j] = False
-        win = np.flatnonzero((costs.min(axis=1) < cost[r] - _STRICT_IMPROVEMENT) & (cand >= 0))
+        win = np.flatnonzero((_min_k(costs) < cost[r] - _STRICT_IMPROVEMENT) & (cand >= 0))
         win = win[r[win] != np.append(-1, r[win])[:-1]]  # each run applies its first improver
         if np.any(cand < 0) and np.any(stuck := (cand < 0) & ~np.isin(r, r[win])):
             raise InvariantViolated(
@@ -245,7 +257,7 @@ def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingR
         cd[moved, :, p] = cols[:, win].T
         t[moved] = j + 1
 
-    # the columns and exact costs are ``_result_for_centers``', bit for bit
+    # the columns and exact costs are those of each run's centers scored on their own
     out = [SeedingResult(centers[b], Assignment.from_labels(np.argmin(cd[b], axis=1), k),
                          float(cost[b]), int(swaps[b])) for b in range(B)]
     for b in np.flatnonzero(used < rounds):  # hand back the rounds a stopped run did not use
@@ -293,10 +305,12 @@ def _erm_runs(K: GramMatrix, k: int, rngs, rounds: int | None = None, max_iter: 
               rel_tol: float = 1e-9) -> list[tuple]:
     """``approximate_erm`` once per generator in ``rngs`` (see ``_runs``).
     Lloyd is deterministic, so each distinct start runs once, and restarts
-    from one start share its assignment and read-only trace."""
+    from one start share its assignment and read-only trace: one ``_kernel_lloyd``
+    batch.  A bad ``max_iter`` or ``rel_tol`` is rejected before any draw."""
+    _check_lloyd(max_iter, rel_tol)
     runs = _runs(K, k, rngs, 25 * k if rounds is None else rounds)
-    fits = {s.induced.labels.tobytes(): s.induced for s in runs}  # in first-seen order
-    fits = {key: kernel_lloyd(K, a, max_iter=max_iter, rel_tol=rel_tol) for key, a in fits.items()}
+    starts = {s.induced.labels.tobytes(): s.induced for s in runs}  # in first-seen order
+    fits = dict(zip(starts, _kernel_lloyd(K, list(starts.values()), max_iter, rel_tol)))
     return [(*fits[s.induced.labels.tobytes()], s.swaps_accepted) for s in runs]
 
 

@@ -7,10 +7,13 @@ import numpy as np
 
 from kkmlab.clustering import (
     Assignment,
+    ClusterCostTrace,
     _chunk_costs,
     _cluster_linkage,
     _grow_partitions,
     _point_center_dists,
+    _repair_empty,
+    cluster_cost,
     kernel_lloyd,
 )
 from kkmlab.errors import (
@@ -20,8 +23,9 @@ from kkmlab.errors import (
     NormalizationViolated,
     SingularLandmarkBlockWarning,
 )
-from kkmlab.kernels import GramMatrix, dists_to_points
+from kkmlab.kernels import GramMatrix, _cost_margin, _rounding_margin, dists_to_points
 from kkmlab.nystrom import (
+    _zspace_cost,
     euclidean_kmeanspp_labels,
     euclidean_lloyd,
     landmark_coefficients,
@@ -30,7 +34,7 @@ from kkmlab.nystrom import (
 )
 from kkmlab.rademacher import _BLOCK, _batch_suprema, _sign_block
 from kkmlab.risk import _weighted_mean_centers, _weighted_partition_costs, population_risk
-from kkmlab.seeding import _result_for_centers, approximate_erm
+from kkmlab.seeding import SeedingResult, approximate_erm
 
 
 def kernel_value(spec, x, y) -> float:
@@ -301,6 +305,17 @@ def grid_supremum(data, sigma, rounds=4, res=81):
     return base + best
 
 
+def result_for_centers(K, centers, swaps: int) -> SeedingResult:
+    """The centers' result scored on its own by ``cluster_cost``: the
+    reference for the seeds and results of ``seeding._runs``."""
+    labels = np.argmin(dists_to_points(K, centers), axis=1)  # ties: lowest position
+    induced = Assignment.from_labels(labels, len(centers))
+    if np.any(induced.cluster_sizes == 0):
+        raise EmptyCluster("duplicate data points left a center with no cell")
+    centers = np.asarray(centers, dtype=np.int64)
+    return SeedingResult(centers, induced, cluster_cost(K, induced), swaps)
+
+
 def sequential_local_search(K, seed, rounds, rng):
     """Round-by-round D^2 local search: the reference for ``seeding._runs``.
 
@@ -339,7 +354,7 @@ def sequential_local_search(K, seed, rounds, rng):
             accepted.append(r)
             center_dists[:, best_pos] = cand_col
             d2 = center_dists.min(axis=1)
-    return _result_for_centers(K, centers, swaps=swaps), accepted
+    return result_for_centers(K, centers, swaps=swaps), accepted
 
 
 def sequential_kmeanspp(K, k, rng):
@@ -352,7 +367,7 @@ def sequential_kmeanspp(K, k, rng):
         if not d2.sum() > 0.0:
             raise EmptyCluster("every point sits on a center")
         centers.append(int(rng.choice(K.n, p=d2 / float(d2.sum()))))
-    return _result_for_centers(K, np.asarray(centers), swaps=0)
+    return result_for_centers(K, np.asarray(centers), swaps=0)
 
 
 def reference_approximate_erm(K, k, rounds, rng):
@@ -387,3 +402,86 @@ def reference_fit_once(K, k, method, policy, rng):
     gamma = np.zeros((k, K.n))
     np.add.at(gamma.T, L.indices, landmark_coefficients(emb, best).T)
     return best_cost, gamma, float(m)
+
+
+def reference_lloyd(init, fit, max_iter, rel_tol, margin):
+    """One start's Lloyd loop, ``fit(labels)`` giving its cost and a callable
+    for its (n, k) distances: the reference for the batched ``_lloyd``."""
+    labels, k = init.labels, init.k
+    if np.any(init.cluster_sizes == 0):
+        raise EmptyCluster("initial assignment has an empty cluster")
+    cost, dists = fit(labels)
+    costs, converged = [cost], False
+    for iterations in range(1, max_iter + 1):
+        D = dists()
+        new_labels = np.argmin(D, axis=1)
+        if np.any(np.bincount(new_labels, minlength=k) == 0):
+            new_labels = _repair_empty(new_labels, k, D[np.arange(len(D)), new_labels])
+        if np.array_equal(new_labels, labels):
+            costs.append(costs[-1])
+            converged = True
+            break
+        cost, dists = fit(new_labels)
+        costs.append(cost)
+        labels = new_labels
+        prev = costs[-2]
+        if cost > prev and cost - prev > margin():
+            raise InvariantViolated(f"a Lloyd step raised the cost from {prev!r} to {cost!r}")
+        if ((prev - cost) / prev if prev > 0 else 0.0) < rel_tol:
+            converged = True
+            break
+    return Assignment.from_labels(labels, k), ClusterCostTrace(np.asarray(costs), converged,
+                                                               iterations)
+
+
+def reference_kernel_lloyd(K, init, max_iter=300, rel_tol=1e-9):
+    """``reference_lloyd`` with one labeling's Gram product a step."""
+    k = init.k
+
+    def fit(labels):
+        G = (labels[:, None] == np.arange(k)).astype(float)
+        KG = K.entries @ G
+        T, sizes = np.einsum("ij,ij->j", G, KG), G.sum(axis=0)
+        cost = max((float(np.sum(K.diag)) - float(np.sum(T / sizes))) / K.n, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            D = K.diag[:, None] - 2.0 * KG / sizes[None, :] + (T / sizes**2)[None, :]
+        D[:, sizes == 0] = np.inf
+        return cost, lambda: np.clip(D, 0.0, None)
+
+    return reference_lloyd(init, fit, max_iter, rel_tol, lambda: _cost_margin(K))
+
+
+def _reference_sq_dists(Z, C):
+    return np.einsum("ij,ij->i", Z, Z)[:, None] - 2.0 * (Z @ C.T) + np.einsum("ij,ij->i", C, C)
+
+
+def reference_euclidean_lloyd(Z, init, max_iter=300, rel_tol=1e-9):
+    """``reference_lloyd`` on coordinates, one labeling's centers a step."""
+    k = init.k
+
+    def fit(labels):
+        G = (labels[:, None] == np.arange(k)).astype(float)
+        sizes = G.sum(axis=0)
+
+        def dists():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                D = _reference_sq_dists(Z, (G.T @ Z) / sizes[:, None])
+            D[:, sizes == 0] = np.inf
+            return np.clip(D, 0.0, None)
+
+        return _zspace_cost(Z, labels, k), dists
+
+    zz_max = float(np.einsum("ij,ij->i", Z, Z).max())
+    return reference_lloyd(init, fit, max_iter, rel_tol, lambda: _rounding_margin(len(Z), zz_max))
+
+
+def reference_euclidean_kmeanspp(Z, k, rng):
+    """One ``rng.choice`` D^2 draw per center after a uniform first one, on
+    coordinates: the reference for the batched Euclidean seeding."""
+    centers = [int(rng.integers(len(Z), size=1)[0])]
+    for _ in range(1, k):
+        d2 = np.min([np.sum((Z - Z[c]) ** 2, axis=1) for c in centers], axis=0)
+        if not d2.sum() > 0.0:
+            raise EmptyCluster("every point sits on a center")
+        centers.append(int(rng.choice(len(Z), p=d2 / float(d2.sum()))))
+    return Assignment.from_labels(np.argmin(_reference_sq_dists(Z, Z[centers]), axis=1), k)

@@ -203,8 +203,8 @@ class TestClusterLinkage:
         made = []
         linkage = clustering_module._cluster_linkage
 
-        def counted(K, labels, k, weights=None):
-            made.append(labels.tobytes())
+        def counted(K, labels, k, weights=None):  # a labeling a row of each batched call
+            made.extend(row.tobytes() for row in np.atleast_2d(labels))
             return linkage(K, labels, k, weights)
 
         monkeypatch.setattr(clustering_module, "_cluster_linkage", counted)

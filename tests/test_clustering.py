@@ -29,6 +29,7 @@ from oracle_utils import (
     iter_label_chunks,
     reference_brute_force_erm,
     reference_chunk_costs,
+    reference_kernel_lloyd,
     reference_label_chunks,
 )
 
@@ -239,6 +240,43 @@ class TestKernelLloyd:
         _, trace = kernel_lloyd(K, a0, max_iter=4)
         assert not trace.converged
         assert len(calls) == trace.iterations + 1
+
+
+class TestBatchedKernelLloyd:
+    """Starts fitted as one ``_kernel_lloyd`` batch equal ``kernel_lloyd`` per
+    start and the one-start reference loop, bit for bit."""
+
+    @staticmethod
+    def assert_batch_equals_calls(K, inits, max_iter, rel_tol=1e-9):
+        got = clustering_module._kernel_lloyd(K, inits, max_iter, rel_tol)
+        for (a, trace), init in zip(got, inits, strict=True):
+            for a_ref, trace_ref in (kernel_lloyd(K, init, max_iter, rel_tol),
+                                     reference_kernel_lloyd(K, init, max_iter, rel_tol)):
+                assert np.array_equal(a.labels, a_ref.labels)
+                assert trace.per_iteration_cost.tobytes() == trace_ref.per_iteration_cost.tobytes()
+                assert trace.converged is trace_ref.converged
+                assert trace.iterations == trace_ref.iterations
+
+    def test_random_and_seeded_starts(self, monkeypatch):
+        repairs, real = [], clustering_module._repair_empty
+        monkeypatch.setattr(clustering_module, "_repair_empty",
+                            lambda *a: repairs.append(1) or real(*a))
+        for inst in range(120):
+            g = np.random.default_rng([inst, 0xBA7])
+            n, k = int(g.integers(8, 257)), int(g.integers(1, 9))
+            spec = KernelSpec("gaussian", bandwidth=1.5) if inst % 2 else KernelSpec("linear")
+            K = gram_matrix(spec, g.normal(size=(n, 3)))
+            inits = [random_assignment(n, k, g) if s % 2 else kernel_kmeanspp(K, k, g).induced
+                     for s in range(int(g.integers(1, 8)))]
+            self.assert_batch_equals_calls(K, inits, (1, 2, 300)[inst % 3])
+        assert repairs  # some starts empty a cluster on the way
+
+    def test_ten_starts_at_n_2048(self):
+        X = two_blob_points(2048, separation=4.0, rng=np.random.default_rng(21))
+        X = np.column_stack((X, np.random.default_rng(22).normal(size=2048)))
+        K = gram_matrix(KernelSpec("gaussian", bandwidth=1.0), X)
+        rng = np.random.default_rng(23)
+        self.assert_batch_equals_calls(K, [random_assignment(2048, 8, rng) for _ in range(10)], 4)
 
 
 class TestBruteForceErm:

@@ -18,18 +18,25 @@ from kkmlab import (
 )
 from kkmlab.datasets import two_blob_points
 from kkmlab.errors import (
+    EmptyCluster,
     InvalidDelta,
     InvariantViolated,
     KTooSmall,
     MissingXi,
     MTooLarge,
+    NonFiniteInput,
     SingularLandmarkBlockWarning,
 )
 import kkmlab.clustering as clustering_module
 import kkmlab.nystrom as nystrom_module
 from kkmlab.kernels import GramMatrix, _cost_margin, _rounding_margin
-from kkmlab.nystrom import euclidean_kmeanspp_labels, euclidean_lloyd
-from oracle_utils import blob_labels, iter_label_chunks
+from kkmlab.nystrom import euclidean_kmeanspp_labels, euclidean_lloyd, landmark_coefficients
+from oracle_utils import (
+    blob_labels,
+    iter_label_chunks,
+    reference_euclidean_kmeanspp,
+    reference_euclidean_lloyd,
+)
 
 
 def restricted_optimum(K, L, k):
@@ -371,3 +378,107 @@ class TestEuclideanLloyd:
                 c = trace.per_iteration_cost
                 assert trace.converged and trace.iterations == 1 and c[1] == c[0] + rise[0] > c[0]
         assert len(margin_calls) == 2
+
+
+def restart_set_sample(inst):
+    """Coordinates for restart-set instance ``inst``: Gaussian, or resampled
+    from a few atoms (repeated rows), with k from 1 to 5 and max_iter 1, 2 or
+    300 in turn."""
+    g = np.random.default_rng([inst, 0x7E5])
+    k, max_iter = 1 + inst % 5, (1, 2, 300)[inst % 3]
+    n, d = int(g.integers(max(k, 6), 48)), int(g.integers(1, 5))
+    if inst % 2:
+        atoms = g.normal(size=(int(g.integers(k, 10)), d))
+        Z = atoms[np.resize(g.permutation(len(atoms)), n)][g.permutation(n)]
+    else:
+        Z = g.normal(size=(n, d))
+    return Z, k, max_iter
+
+
+class TestNystromRestartSets:
+    """A rep's 20 Nystrom starts, seeded as one batch and fitted as one batch
+    of distinct starts (as ``risk._fit_once`` does), equal 20 calls one by one."""
+
+    @staticmethod
+    def restart_set(Z, k, rng, max_iter):
+        seeds = nystrom_module._euclidean_kmeanspp(Z, k, rng, 20)
+        starts = {s.tobytes(): s for s in seeds}
+        fits = dict(zip(starts, nystrom_module._euclidean_lloyd(
+            Z, [Assignment.from_labels(s, k) for s in starts.values()], max_iter)))
+        return [fits[s.tobytes()] for s in seeds]
+
+    @staticmethod
+    def assert_same(got, want):
+        for (a, trace), (a_ref, trace_ref) in zip(got, want, strict=True):
+            assert np.array_equal(a.labels, a_ref.labels)
+            assert trace.per_iteration_cost.tobytes() == trace_ref.per_iteration_cost.tobytes()
+            assert trace.converged is trace_ref.converged
+            assert trace.iterations == trace_ref.iterations
+
+    @pytest.mark.parametrize("sequential", ["public calls", "reference loop"])
+    def test_twenty_starts_equal_sequential_calls(self, sequential):
+        seed_one, lloyd_one = {
+            "public calls": (euclidean_kmeanspp_labels, euclidean_lloyd),
+            "reference loop": (reference_euclidean_kmeanspp, reference_euclidean_lloyd),
+        }[sequential]
+        for inst in range(300):
+            Z, k, max_iter = restart_set_sample(inst)
+            rng, rng_ref = np.random.default_rng(inst), np.random.default_rng(inst)
+            got = self.restart_set(Z, k, rng, max_iter)
+            want = [lloyd_one(Z, seed_one(Z, k, rng_ref), max_iter=max_iter) for _ in range(20)]
+            self.assert_same(got, want)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_a_start_that_repairs_an_empty_cluster(self, monkeypatch):
+        repairs, real = [], clustering_module._repair_empty
+        monkeypatch.setattr(clustering_module, "_repair_empty",
+                            lambda *a: repairs.append(1) or real(*a))
+        # in starts 0 and 2, clusters 0 and 1 share the mean 5, so the first step
+        # empties the higher of them; start 1 is stable
+        Z = np.array([[0.0], [1.0], [9.0], [10.0], [4.9]])
+        starts = [Assignment.from_labels(labels, 3) for labels in
+                  ([0, 1, 1, 0, 2], [0, 0, 1, 1, 2], [1, 0, 0, 1, 2])]
+        for max_iter in (1, 2, 300):
+            repairs.clear()
+            got = nystrom_module._euclidean_lloyd(Z, starts, max_iter)
+            assert len(repairs) == 2
+            self.assert_same(got, [reference_euclidean_lloyd(Z, a, max_iter) for a in starts])
+
+    def test_seeding_that_runs_out_of_points_raises(self):
+        Z = np.repeat(np.eye(2), 4, axis=0)  # two distinct rows
+        with pytest.raises(EmptyCluster):
+            nystrom_module._euclidean_kmeanspp(Z, 3, np.random.default_rng(0), 20)
+
+
+class TestEuclideanEntryPoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        Z = np.random.default_rng(3).normal(size=(10, 2))
+        Z[4, 1] = bad
+        init = Assignment.from_labels(np.arange(10) % 2, 2)
+        with pytest.raises(NonFiniteInput, match="Z"):
+            euclidean_lloyd(Z, init)
+        with pytest.raises(NonFiniteInput, match="Z"):
+            euclidean_kmeanspp_labels(Z, 2, np.random.default_rng(0))
+
+    def test_one_d_coordinates_are_scalar_points(self):
+        z = np.random.default_rng(4).normal(size=12)
+        a = euclidean_kmeanspp_labels(z, 3, np.random.default_rng(1))
+        assert np.array_equal(a.labels, euclidean_kmeanspp_labels(
+            z[:, None], 3, np.random.default_rng(1)).labels)
+        (b, trace), (b_col, trace_col) = euclidean_lloyd(z, a), euclidean_lloyd(z[:, None], a)
+        assert np.array_equal(b.labels, b_col.labels)
+        assert trace.per_iteration_cost.tobytes() == trace_col.per_iteration_cost.tobytes()
+
+    def test_landmark_coefficients_checks_n(self):
+        K = gram_matrix(KernelSpec("gaussian"), np.random.default_rng(5).normal(size=(8, 2)))
+        emb = nystrom_embed(K, LandmarkSet.from_indices([0, 3, 5]))
+        with pytest.raises(ValueError, match=r"n=9.*n=8"):
+            landmark_coefficients(emb, Assignment.from_labels(np.arange(9) % 2, 2))
+
+    def test_init_labels_with_another_k_rejected_before_any_work(self, monkeypatch):
+        K = gram_matrix(KernelSpec("gaussian"), np.random.default_rng(6).normal(size=(9, 2)))
+        init = Assignment.from_labels(np.arange(9) % 3, 3)
+        monkeypatch.setattr(nystrom_module, "nystrom_embed", lambda *a, **kw: pytest.fail())
+        with pytest.raises(ValueError, match="k=3, not k=2"):
+            nystrom_kkmeans(K, LandmarkSet.from_indices(range(4)), 2, init_labels=init)

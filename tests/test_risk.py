@@ -20,7 +20,7 @@ from kkmlab import (
     scaling_fit,
     standard_benchmark,
 )
-from kkmlab import clustering, nystrom, risk, seeding
+from kkmlab import clustering, nystrom, risk
 from kkmlab.errors import (CoefficientDimensionMismatch, KTooSmall, NonFiniteInput,
                            NonPositiveRisk)
 from kkmlab.risk import exact_vs_nystrom
@@ -318,19 +318,15 @@ class TestRunCell:
 class TestOncePerFit:
     @pytest.mark.parametrize("method", ["exact_erm_approx", "nystrom"])
     def test_demo_cell_runs_each_start_once(self, monkeypatch, method):
-        calls = []
-        real_lloyd, real_kernel_lloyd = clustering._lloyd, seeding.kernel_lloyd
+        calls = []  # one per labeling: the starts of each batched Lloyd call
+        real_lloyd = clustering._lloyd
         for module in (clustering, nystrom):
-            monkeypatch.setattr(module, "_lloyd", lambda *a: calls.append(1) or real_lloyd(*a))
+            monkeypatch.setattr(module, "_lloyd",
+                                lambda inits, *a: calls.extend(inits) or real_lloyd(inits, *a))
         P, reps = standard_benchmark(2), 3
         got = run_cell(P, 64, 2, method, MPolicy(), reps=reps, master_seed=42)
         assert 0 < len(calls) < 20 * reps
 
-        def cold_kernel_lloyd(K, init, **kwargs):  # the memo emptied before every call
-            K.__dict__.pop("_lloyd_fits", None)
-            return real_kernel_lloyd(K, init, **kwargs)
-
-        monkeypatch.setattr(seeding, "kernel_lloyd", cold_kernel_lloyd)
         monkeypatch.setattr(risk, "_fit_once", reference_fit_once)
         calls.clear()
         assert run_cell(P, 64, 2, method, MPolicy(), reps=reps, master_seed=42) == got

@@ -53,3 +53,27 @@ def test_run_op_hashes_exit_streams_and_files(same_outputs, tmp_path):
     assert got == same_outputs.run_op(call, tmp_path / "again")
     raised = same_outputs.run_op(fails, tmp_path / "raised")
     assert raised["exit"] == "'raised ValueError'" and raised["stderr"] != got["stderr"]
+
+
+def test_demo_ops_run_every_cluster_method_and_rad_check(same_outputs):
+    root = Path("/checkout")
+    ops = same_outputs.demo_ops(root, 5)
+    assert [name for name, _ in ops] == ["cluster-lloyd", "cluster-approx", "cluster-nystrom",
+                                         "rad-check"]
+    common = ["--config", str(root / "demos" / "risk_scan.cfg"), "--seed", "5"]
+    assert [list(argv) for _, argv in ops] == [
+        ["cluster", *common, "--method", "lloyd"], ["cluster", *common, "--method", "approx"],
+        ["cluster", *common, "--method", "nystrom"], ["rad-check", *common]]
+
+
+def test_demo_ops_are_hashed_beside_the_workloads(same_outputs, monkeypatch, tmp_path):
+    # the demo set runs in-process here as the child process runs it for each side
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    got = same_outputs.run_workload(TOOLS.parent, tmp_path / "work", same_outputs.DEMO, 42)
+    names = [name for name, _ in same_outputs.demo_ops(TOOLS.parent, 42)]
+    assert list(got) == [f"demo seed 42 {name}" for name in names]
+    for op, digests in got.items():
+        assert digests["exit"] == "0", op
+        assert any(part.startswith("file ") for part in digests), op
+    assert got == same_outputs.run_workload(TOOLS.parent, tmp_path / "again", same_outputs.DEMO, 42)

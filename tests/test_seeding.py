@@ -29,6 +29,7 @@ from oracle_utils import (
     _labels_cost,
     blob_labels,
     reference_approximate_erm,
+    result_for_centers,
     sequential_kmeanspp,
     sequential_local_search,
 )
@@ -59,9 +60,7 @@ def induced_subset_optimum(K, k):
 
 
 def seeding_from_centers(K, centers):
-    from kkmlab.seeding import _result_for_centers
-
-    return _result_for_centers(K, np.asarray(centers, dtype=np.int64), swaps=0)
+    return result_for_centers(K, np.asarray(centers, dtype=np.int64), swaps=0)
 
 
 class TestKmeansPP:
@@ -650,13 +649,13 @@ class TestLockstep:
                                     shared=False, rounds=0)
 
     def test_repeated_starts_share_one_read_only_fit(self, monkeypatch):
-        starts, real = [], seeding.kernel_lloyd
+        starts, real = [], seeding._kernel_lloyd
 
-        def recorded(K, init, **kwargs):
-            starts.append(init.labels.tobytes())
-            return real(K, init, **kwargs)
+        def recorded(K, inits, *args):  # every start of the batch
+            starts.extend(init.labels.tobytes() for init in inits)
+            return real(K, inits, *args)
 
-        monkeypatch.setattr(seeding, "kernel_lloyd", recorded)
+        monkeypatch.setattr(seeding, "_kernel_lloyd", recorded)
         rng = np.random.default_rng(8)  # 40 copies of 6 points: restarts repeat starts
         K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(6, 2))[rng.integers(6, size=40)])
         fits = _erm_runs(K, 3, [np.random.default_rng(8)] * 20)
@@ -664,6 +663,32 @@ class TestLockstep:
         assert len({(id(a), id(trace)) for a, trace, _ in fits}) == len(starts)
         with pytest.raises(ValueError, match="read-only"):
             fits[0][1].per_iteration_cost[-1] = 0.0
+
+    def test_batch_costs_equal_cluster_cost(self):
+        # seeds are scored in one stacked product, swaps in another: each cost
+        # is its labeling's cost scored on its own
+        for inst in range(90):
+            K, k = lockstep_sample(inst)
+            for rounds in (1, 25 * k):
+                for s in seeding._runs(K, k, [np.random.default_rng(inst)] * 20, rounds):
+                    assert s.cost.hex() == cluster_cost(K, s.induced).hex()
+
+
+class TestMinK:
+    def test_equals_numpy_min_bit_for_bit(self):
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 5e-324, 2.5])
+        g = np.random.default_rng(0)
+        for shape in [(1,), (3, 1), (7, 2), (4, 9, 3), (2, 5, 8), (20, 256, 2)]:
+            for _ in range(20):
+                a = np.where(g.random(shape) < 0.7, g.choice(pool, size=shape),
+                             g.normal(size=shape))
+                got, want = seeding._min_k(a), a.min(axis=-1)
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_signed_zeros_in_either_order(self):
+        a = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [np.inf, -0.0], [np.inf, np.inf]])
+        assert seeding._min_k(a).tobytes() == a.min(axis=-1).tobytes()
 
 
 class TestBatchOfOneGenerator:
@@ -725,6 +750,18 @@ class TestBatchOfOneGenerator:
 
 
 class TestApproximateErm:
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -2}, {"rel_tol": -1.0},
+                                        {"rel_tol": float("nan")}])
+    def test_bad_lloyd_settings_rejected_before_any_draw(self, monkeypatch, kwargs):
+        calls, real = [], seeding._runs
+        monkeypatch.setattr(seeding, "_runs", lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(2)
+        K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(12, 2)))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="max_iter" if "max_iter" in kwargs else "rel_tol"):
+            approximate_erm(K, 3, rng=rng, **kwargs)
+        assert not calls and rng.bit_generator.state == state
+
     def test_k_equals_n_cost_zero(self):
         rng = np.random.default_rng(3)
         K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(6, 2)))

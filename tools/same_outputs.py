@@ -9,7 +9,9 @@ turn into the same directory, so both sides run from the same paths.  For
 each workload of the side's ``perfbench/workloads.py`` and each seed, a fresh
 process with the side's ``src/`` on its path and the BLAS thread variables
 pinned to 1 sets the workload up in one work directory and runs each of its
-ops once, as ``perfbench/worker.py`` does.  Each op's exit code, stdout,
+ops once, as ``perfbench/worker.py`` does.  Beside the workloads, a ``demo``
+set runs ``cluster --method lloyd|approx|nystrom`` and ``rad-check`` on the
+side's ``demos/risk_scan.cfg`` at each seed.  Each op's exit code, stdout,
 stderr and output files are hashed.
 
 Prints one line per workload, seed and op, ``same`` or ``DIFFERS`` with the
@@ -33,6 +35,15 @@ from pathlib import Path
 from bench_pairs import ROOT, THREAD_VARS, WORKLOADS, checkout
 
 TOOLS = Path(__file__).resolve().parent
+DEMO = "demo"  # the ops of ``demo_ops``, hashed beside the benchmark's workloads
+
+
+def demo_ops(root: Path, seed: int) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, argv) of the demo-config ops at one seed: ``cluster`` by each
+    method and ``rad-check``, on ``demos/risk_scan.cfg`` of checkout ``root``."""
+    common = ("--config", str(root / "demos" / "risk_scan.cfg"), "--seed", str(seed))
+    return [*((f"cluster-{m}", ("cluster", *common, "--method", m))
+              for m in ("lloyd", "approx", "nystrom")), ("rad-check", ("rad-check", *common))]
 
 
 def run_op(call, out_dir: Path) -> dict[str, str]:
@@ -58,8 +69,9 @@ def run_op(call, out_dir: Path) -> dict[str, str]:
 
 
 def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, dict]:
-    """Every op of one workload at one seed, set up in ``work``: run in the
-    child process that ``side_digests`` starts in checkout ``root``."""
+    """Every op of one workload (or of ``DEMO``) at one seed, set up in
+    ``work``: run in the child process that ``side_digests`` starts in
+    checkout ``root``."""
     import kkmlab
     import kkmlab.cli
     import workloads
@@ -68,7 +80,10 @@ def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, 
         raise SystemExit(f"imported kkmlab from {kkmlab.__file__}, not from {root / 'src'}")
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    ops = workloads.WORKLOADS[workload].setup(seed, work, root)
+    if workload == DEMO:
+        ops = [workloads.Op(name, argv) for name, argv in demo_ops(root, seed)]
+    else:
+        ops = workloads.WORKLOADS[workload].setup(seed, work, root)
     digests = {}
     for op in ops:
         if op.argv:
@@ -81,7 +96,8 @@ def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, 
 
 
 def side_digests(root: Path, work: Path, seeds: list[int]) -> dict[str, dict]:
-    """``run_workload`` for every workload and seed, each in a fresh process."""
+    """``run_workload`` for every workload and ``DEMO`` at every seed, each in
+    a fresh process."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update({v: "1" for v in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(str(p) for p in (TOOLS, root / "src", root / "perfbench"))
@@ -89,7 +105,7 @@ def side_digests(root: Path, work: Path, seeds: list[int]) -> dict[str, dict]:
             "print(json.dumps(s.run_workload(Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], "
             "int(sys.argv[4]))))")
     digests = {}
-    for workload in WORKLOADS:
+    for workload in (*WORKLOADS, DEMO):
         for seed in seeds:
             proc = subprocess.run([sys.executable, "-c", code, str(root), str(work), workload,
                                    str(seed)], cwd=root, env=env, capture_output=True, text=True)
