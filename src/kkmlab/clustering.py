@@ -70,10 +70,18 @@ class ClusterCostTrace:
     iterations: int
 
 
-def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
-    """(..., k) float indicators of the labels: (n, k) for one labeling,
-    (B, n, k) for a (B, n) stack."""
-    return (labels[..., None] == np.arange(k)).astype(float)
+def _onehot(labels: np.ndarray, k: int, weights=None):
+    """The (..., n, k) one-hot stack of (..., n) labels, each point's weight
+    (1 by default) in its cluster's column and +0 elsewhere, and its sum over
+    the points bit for bit: a bincount over label + k * labeling adds in row
+    order as numpy's sum does at k >= 2, but at k = 1 numpy sums pairwise."""
+    w = None if weights is None else np.broadcast_to(weights, labels.shape).ravel()
+    G, n = np.zeros((*labels.shape, k)), labels.shape[-1]
+    G.reshape(-1)[np.arange(0, G.size, k) + labels.ravel()] = 1.0 if w is None else w
+    if k == 1:
+        return G, G.sum(axis=-2)
+    idx = (labels.reshape(-1, n) + np.arange(0, G.size // n, k)[:, None]).ravel()
+    return G, np.bincount(idx, w, minlength=G.size // n).reshape(*labels.shape[:-1], k)
 
 
 def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int, weights=None):
@@ -81,13 +89,9 @@ def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int, weights=None):
     T[j] = sum_{t, t' in C_j} w_t w_t' K_tt' and sizes[j] = sum_{t in C_j} w_t,
     with every weight w_t = 1 unless ``weights`` are given; for a (B, n) stack
     of labelings, each with a leading B axis and each labeling's bits."""
-    G = _onehot(labels, k)
-    if weights is not None:
-        G *= weights[:, None]
+    G, sizes = _onehot(labels, k, weights)
     KG = np.matmul(K.entries, G)
-    T = np.einsum("...ij,...ij->...j", G, KG)
-    sizes = G.sum(axis=-2)
-    return KG, T, sizes
+    return KG, np.einsum("...ij,...ij->...j", G, KG), sizes
 
 
 def _linkage_cost(K: GramMatrix, T: np.ndarray, sizes: np.ndarray):
@@ -169,7 +173,7 @@ def _lloyd(inits, fit, max_iter: int, rel_tol: float, margin):
     for it in range(1, max_iter + 1):
         D = dists(rows)
         new = np.argmin(D, axis=-1)
-        for r in np.flatnonzero(~(new[:, :, None] == np.arange(k)).any(axis=1).all(axis=1)):
+        for r in np.flatnonzero((_onehot(new, k)[1] == 0).any(axis=1)):
             new[r] = _repair_empty(new[r], k, D[r, np.arange(D.shape[1]), new[r]])
         same = (new == labels[live]).all(axis=1)
         for b in live[same]:
@@ -315,11 +319,8 @@ def _partition_search(K: np.ndarray, w: np.ndarray, k: int, rescore, slack: floa
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:
-    G = _onehot(chunk_labels, k)
-    KG = np.matmul(K, G)
-    T = np.einsum("bik,bik->bk", G, KG)
-    # label counts, not sums over the float one-hot: the same small integers, faster
-    sizes = np.stack([np.count_nonzero(chunk_labels == j, axis=1) for j in range(k)], axis=1)
+    G, sizes = _onehot(chunk_labels, k)
+    T = np.einsum("bik,bik->bk", G, np.matmul(K, G))
     return (diag_sum - np.sum(T / sizes, axis=1)) / K.shape[0]
 
 

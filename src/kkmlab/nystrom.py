@@ -30,7 +30,7 @@ from .errors import (
     SingularLandmarkBlockWarning,
 )
 from .kernels import GramMatrix, _rounding_margin
-from .seeding import _check_k, _dsq_centers
+from .seeding import _BLOCK_ELEMENTS, _check_k, _dsq_centers
 
 __all__ = [
     "LandmarkSet",
@@ -189,8 +189,7 @@ def _sq_dists(zz: np.ndarray, Z: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _zspace_dists(zz: np.ndarray, Z: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """(B, n, k) squared distances to the coordinates' cluster means of each
     of the (B, n) labelings; empty clusters get +inf."""
-    G = _onehot(labels, k)
-    sizes = G.sum(axis=1)
+    G, sizes = _onehot(labels, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         centers = np.matmul(G.swapaxes(1, 2), Z) / sizes[:, :, None]
     return np.clip(np.where(sizes[:, None, :] == 0, np.inf, _sq_dists(zz, Z, centers)), 0.0, None)
@@ -226,9 +225,10 @@ def _euclidean_kmeanspp(Z: np.ndarray, k: int, rng, runs: int) -> np.ndarray:
     first, u = np.empty(runs, np.int64), np.empty((runs, k - 1))
     for b in range(runs):
         first[b], u[b] = rng.integers(len(Z), size=1)[0], rng.random(k - 1)
-    # one run's column at a time: an (n, runs, d) broadcast would hold them all
-    centers = _dsq_centers(lambda idx: np.array([np.sum((Z - Z[i]) ** 2, axis=1) for i in idx]).T,
-                           first, u)
+    step = max(1, _BLOCK_ELEMENTS // Z.size)  # columns at a time: all at once hold (runs, n, d)
+    centers = _dsq_centers(lambda idx: np.concatenate([
+        np.sum((Z[None] - Z[idx[s : s + step]][:, None]) ** 2, axis=2)
+        for s in range(0, len(idx), step)]).T, first, u)
     return np.argmin(_sq_dists(np.einsum("ij,ij->i", Z, Z), Z, Z[centers]), axis=-1)
 
 
@@ -273,8 +273,7 @@ def landmark_coefficients(emb: EmbeddedDataset, a: Assignment) -> np.ndarray:
     landmark features."""
     if a.n != emb.coords.shape[0]:
         raise ValueError(f"assignment has n={a.n}, the embedding n={emb.coords.shape[0]}")
-    G = _onehot(a.labels, a.k)
-    sizes = G.sum(axis=0)
+    G, sizes = _onehot(a.labels, a.k)
     if np.any(sizes == 0):
         raise EmptyCluster("cannot form a center for an empty cluster")
     z_centers = (G.T @ emb.coords) / sizes[:, None]

@@ -31,6 +31,7 @@ from .clustering import (
 from .errors import (
     CoefficientDimensionMismatch,
     KTooSmall,
+    NonFiniteInput,
     NonPositiveRisk,
     SingularLandmarkBlockWarning,
 )
@@ -214,6 +215,8 @@ def population_risk(P: DistributionSpec, centers) -> float:
         raise CoefficientDimensionMismatch(
             f"centers must be (k, {P.n_atoms}), got {centers.shape}"
         )
+    if not np.all(np.isfinite(centers)):
+        raise NonFiniteInput("non-finite values in centers")
     K = P.gram
     cross = K.entries @ centers.T
     quad = np.einsum("ki,ij,kj->k", centers, K.entries, centers)
@@ -223,9 +226,8 @@ def population_risk(P: DistributionSpec, centers) -> float:
 
 
 def _weighted_partition_costs(K: np.ndarray, w: np.ndarray, chunk: np.ndarray, k: int) -> np.ndarray:
-    Gw = _onehot(chunk, k) * w[None, :, None]
+    Gw, Wc = _onehot(chunk, k, w)
     T = np.einsum("bik,bik->bk", Gw, np.matmul(K, Gw))
-    Wc = Gw.sum(axis=1)
     # a weightless block's T is 0: it adds 0, as in the search's screen
     return float(w @ np.diagonal(K)) - np.sum(T / np.where(Wc > 0, Wc, 1.0), axis=1)
 
@@ -257,6 +259,8 @@ def optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int = _SURROGATE_R
     """
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
+    if surrogate_runs < 1:
+        raise ValueError(f"surrogate_runs must be >= 1, got {surrogate_runs}")
     key = (k, surrogate_runs)
     if key not in P._optimal_risks:
         P._optimal_risks[key] = _compute_optimal_risk(P, k, surrogate_runs)
@@ -314,8 +318,8 @@ def _fit_once(K: GramMatrix, k: int, method: str, policy: MPolicy, rng):
         fits = _erm_runs(K, k, [rng] * restarts)
         # ties go to the earliest restart: min keeps the first of equal keys
         a, trace, _ = min(fits, key=lambda fit: float(fit[1].per_iteration_cost[-1]))
-        G = _onehot(a.labels, k)
-        return float(trace.per_iteration_cost[-1]), (G / G.sum(axis=0)).T, 0.0
+        G, sizes = _onehot(a.labels, k)
+        return float(trace.per_iteration_cost[-1]), (G / sizes).T, 0.0
 
     if method == "nystrom":
         m = policy.landmarks_for(K, n, k)

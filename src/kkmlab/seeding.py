@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._common import ensure_rng
-from .clustering import Assignment, _check_lloyd, _kernel_lloyd, cluster_cost
+from .clustering import Assignment, _check_lloyd, _kernel_lloyd, _onehot, cluster_cost
 from .errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from .kernels import GramMatrix, dists_to_points
 
@@ -96,8 +96,7 @@ def _weighted_costs(gram, labels, k: int, weights, trace: float, n: int) -> np.n
     """Mean-centroid costs, or +inf where a cluster is empty, of the (P, rows)
     labelings of the rows of ``gram``, row u standing for ``weights[u]`` of
     the n points: each trial with its own product in one stacked call."""
-    W = (labels[:, :, None] == np.arange(k)) * weights[:, None]
-    sizes = W.sum(axis=1)
+    W, sizes = _onehot(labels, k, weights)
     T = np.einsum("pij,pij->pj", W, np.matmul(gram, W))
     with np.errstate(divide="ignore", invalid="ignore"):
         costs = (trace - (T / sizes).sum(axis=1)) / n
@@ -201,7 +200,7 @@ def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingR
     cd = dists_to_points(K, centers.ravel()).reshape(n, B, k).transpose(1, 0, 2).copy()
     if seeds is None:  # every seed labelled from one table, and scored in one stacked product
         labels = np.argmin(cd, axis=2)  # ties: lowest position
-        if not (labels[:, :, None] == np.arange(k)).any(axis=1).all():
+        if (_onehot(labels, k)[1] == 0).any():
             raise EmptyCluster("duplicate data points left a center with no cell")
         if rounds == 0:
             return [SeedingResult(c, Assignment.from_labels(a, k), np.nan, 0)

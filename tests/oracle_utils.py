@@ -33,7 +33,7 @@ from kkmlab.nystrom import (
     sample_landmarks_uniform,
 )
 from kkmlab.rademacher import _BLOCK, _batch_suprema, _sign_block
-from kkmlab.risk import _weighted_mean_centers, _weighted_partition_costs, population_risk
+from kkmlab.risk import _weighted_mean_centers, population_risk
 from kkmlab.seeding import SeedingResult, approximate_erm
 
 
@@ -155,6 +155,24 @@ def reference_gram(spec, X):
     return GramMatrix.from_entries(K, np.unique(X, axis=0, return_inverse=True)[1])
 
 
+def reference_onehot(labels, k, weights=None):
+    """The one-hot stack broadcast against ``np.arange(k)``, weighted by
+    multiplying, and numpy's sum of it over the points: the reference for
+    ``clustering._onehot``."""
+    G = (labels[..., None] == np.arange(k)).astype(float)
+    if weights is not None:
+        G *= weights[:, None]
+    return G, G.sum(axis=-2)
+
+
+def reference_weighted_partition_costs(K, w, chunk, k):
+    """Weighted partition costs from the broadcast one-hot stack and numpy's
+    sum of it: the reference for ``risk._weighted_partition_costs``."""
+    Gw, Wc = reference_onehot(chunk, k, w)
+    T = np.einsum("bik,bik->bk", Gw, np.matmul(K, Gw))
+    return float(w @ np.diagonal(K)) - np.sum(T / np.where(Wc > 0, Wc, 1.0), axis=1)
+
+
 def reference_chunk_costs(K, diag_sum, chunk_labels, k):
     """Chunk costs with block sizes summed from the float one-hot: the
     reference for ``clustering._chunk_costs``."""
@@ -205,11 +223,12 @@ def reference_brute_force_erm(K, k):
 
 def reference_optimal_risk(P, k: int) -> float:
     """Every partition of the atoms into k < n_atoms blocks scored by
-    ``_weighted_partition_costs``: the reference for ``optimal_risk``'s exact
-    search."""
+    ``reference_weighted_partition_costs``: the reference for ``optimal_risk``'s
+    exact search."""
     best = np.inf
     for chunk in iter_label_chunks(P.n_atoms, k):
-        best = min(best, float(_weighted_partition_costs(P.gram.entries, P.weights, chunk, k).min()))
+        costs = reference_weighted_partition_costs(P.gram.entries, P.weights, chunk, k)
+        best = min(best, float(costs.min()))
     return max(best, 0.0)
 
 

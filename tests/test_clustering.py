@@ -31,6 +31,7 @@ from oracle_utils import (
     reference_chunk_costs,
     reference_kernel_lloyd,
     reference_label_chunks,
+    reference_onehot,
 )
 
 
@@ -102,6 +103,43 @@ class TestClusterCost:
             c0 = cluster_cost(K, a)
             # mathematically equal; BLAS summation order costs a few ulps
             assert cluster_cost(Kp, ap) == pytest.approx(c0, rel=1e-13)
+
+
+class TestOneHot:
+    """``_onehot`` against the broadcast stack and numpy's sum of it, bit for
+    bit, for one labeling and for stacks, with and without weights."""
+
+    @staticmethod
+    def assert_same(labels, k, weights=None):
+        G, sizes = clustering_module._onehot(labels, k, weights)
+        G_ref, sizes_ref = reference_onehot(labels, k, weights)
+        assert G.shape == G_ref.shape and G.tobytes() == G_ref.tobytes()
+        assert sizes.shape == sizes_ref.shape
+        assert np.asarray(sizes, dtype=float).tobytes() == sizes_ref.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_equals_the_broadcast(self, k):
+        g = np.random.default_rng([k, 0x0E])
+        for rows in (1, 2, 7, 8, 9, 17, 64, 300):
+            for shape in ((rows,), (5, rows)):
+                labels = g.integers(0, k, size=shape)
+                counts = g.integers(0, 4, size=rows).astype(float)
+                real = g.random(rows)
+                real[g.random(rows) < 0.3] = 0.0  # zero weights among them
+                for weights in (None, np.ones(rows), counts, real):
+                    self.assert_same(labels, k, weights)
+
+    def test_one_cluster_keeps_numpy_pairwise_sum(self):
+        # at k = 1 numpy sums more than 8 rows pairwise, which a bincount's
+        # running sum does not reproduce
+        g, differs = np.random.default_rng(7), 0
+        for rows in (9, 10, 40, 300) * 5:
+            labels, w = np.zeros((3, rows), dtype=np.int64), g.random(rows)
+            running = np.bincount((labels + np.arange(3)[:, None]).ravel(), np.tile(w, 3))
+            differs += running.tobytes() != reference_onehot(labels, 1, w)[1].ravel().tobytes()
+            self.assert_same(labels, 1, w)
+            self.assert_same(labels[0], 1, w)
+        assert differs >= 5
 
 
 class TestPointCenterDists:

@@ -85,6 +85,15 @@ class TestPopulationRisk:
         with pytest.raises(CoefficientDimensionMismatch):
             population_risk(P, np.ones((1, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_centers_rejected(self, bad):
+        # returned nan for NaN centers
+        P = standard_benchmark(2)
+        centers = np.full((2, P.n_atoms), 1.0 / P.n_atoms)
+        centers[1, 3] = bad
+        with pytest.raises(NonFiniteInput, match="centers"):
+            population_risk(P, centers)
+
 
 class TestOptimalRisk:
     def test_k_at_least_atom_count(self):
@@ -131,6 +140,24 @@ class TestOptimalRisk:
             P = DistributionSpec(atoms, w / w.sum(), kernels[case % 3])
             res = optimal_risk(P, k)
             assert res.exact and res.value.hex() == reference_optimal_risk(P, k).hex(), case
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_random_weights_keep_the_broadcast_bits(self, seed, k):
+        # 11 atoms with random weights: at k = 1 a bincount's running sum of
+        # the weights would change the last bit at these seeds
+        g = np.random.default_rng([seed, 11])
+        w = g.random(11)
+        P = DistributionSpec(g.normal(size=(11, 2)), w / w.sum(), KernelSpec("gaussian"))
+        res = optimal_risk(P, k)
+        assert res.exact and res.value.hex() == reference_optimal_risk(P, k).hex()
+
+    @pytest.mark.parametrize("k, runs", [(5, 0), (5, -1), (2, 0)])
+    def test_surrogate_runs_below_one_is_an_input_error(self, k, runs):
+        # k = 5 on 12 atoms needs the surrogate, whose seeding divided by zero;
+        # the exact path at k = 2 never read the count
+        with pytest.raises(ValueError, match=f"surrogate_runs must be >= 1, got {runs}"):
+            optimal_risk(standard_benchmark(2), k, surrogate_runs=runs)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_is_an_input_error(self, k):

@@ -1,10 +1,14 @@
 """The per-op comparison and hashing of ``tools/same_outputs.py``."""
 
+import hashlib
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import kkmlab
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -77,3 +81,26 @@ def test_demo_ops_are_hashed_beside_the_workloads(same_outputs, monkeypatch, tmp
         assert digests["exit"] == "0", op
         assert any(part.startswith("file ") for part in digests), op
     assert got == same_outputs.run_workload(TOOLS.parent, tmp_path / "again", same_outputs.DEMO, 42)
+
+
+def test_optimal_ops_hash_the_value_and_exact_flag(same_outputs, monkeypatch, tmp_path):
+    # the optimal set runs in-process here as the child process runs it for each side
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    got = same_outputs.run_workload(TOOLS.parent, tmp_path / "work", same_outputs.OPTIMAL, 5)
+    names = [f"benchmark-k{k}" for k in range(1, 6)] + [f"atoms11-k{k}" for k in range(1, 4)]
+    assert list(got) == [f"optimal seed 5 {name}" for name in names]
+    g = np.random.default_rng([5, 11])
+    w = g.random(11)
+    atoms = kkmlab.DistributionSpec(g.normal(size=(11, 2)), w / w.sum(),
+                                    kkmlab.KernelSpec("gaussian"))
+    cases = [(kkmlab.standard_benchmark(k, seed=5), k) for k in range(1, 6)]
+    cases += [(atoms, k) for k in range(1, 4)]
+    exact = []
+    for (op, digests), (P, k) in zip(got.items(), cases, strict=True):
+        res = kkmlab.optimal_risk(P, k)
+        exact.append(res.exact)
+        line = f"{res.value!r} {res.exact}\n"
+        assert digests == {"exit": "0", "stdout": hashlib.sha256(line.encode()).hexdigest(),
+                           "stderr": hashlib.sha256(b"").hexdigest()}, op
+    assert exact == [True, True, False, False, False, True, True, True]

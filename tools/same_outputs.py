@@ -11,8 +11,11 @@ process with the side's ``src/`` on its path and the BLAS thread variables
 pinned to 1 sets the workload up in one work directory and runs each of its
 ops once, as ``perfbench/worker.py`` does.  Beside the workloads, a ``demo``
 set runs ``cluster --method lloyd|approx|nystrom`` and ``rad-check`` on the
-side's ``demos/risk_scan.cfg`` at each seed.  Each op's exit code, stdout,
-stderr and output files are hashed.
+side's ``demos/risk_scan.cfg`` at each seed, and an ``optimal`` set prints
+the ``repr`` of ``optimal_risk``'s value and its exact flag on
+``standard_benchmark(k, seed=s)`` for k from 1 to 5 and on 11 atoms with
+random weights for k from 1 to 3, cases no workload reaches.  Each op's exit
+code, stdout, stderr and output files are hashed.
 
 Prints one line per workload, seed and op, ``same`` or ``DIFFERS`` with the
 parts that differ, and exits 1 if any op differs.
@@ -32,10 +35,12 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
 from bench_pairs import ROOT, THREAD_VARS, WORKLOADS, checkout
 
 TOOLS = Path(__file__).resolve().parent
 DEMO = "demo"  # the ops of ``demo_ops``, hashed beside the benchmark's workloads
+OPTIMAL = "optimal"  # the ops of ``optimal_ops``, likewise
 
 
 def demo_ops(root: Path, seed: int) -> list[tuple[str, tuple[str, ...]]]:
@@ -44,6 +49,27 @@ def demo_ops(root: Path, seed: int) -> list[tuple[str, tuple[str, ...]]]:
     common = ("--config", str(root / "demos" / "risk_scan.cfg"), "--seed", str(seed))
     return [*((f"cluster-{m}", ("cluster", *common, "--method", m))
               for m in ("lloyd", "approx", "nystrom")), ("rad-check", ("rad-check", *common))]
+
+
+def optimal_ops(kkmlab, seed: int) -> list[tuple[str, object]]:
+    """(name, call) of the ``optimal`` ops at one seed: each call prints the
+    ``repr`` of ``kkmlab.optimal_risk``'s value and its exact flag, on
+    ``standard_benchmark(k, seed=seed)`` for k from 1 to 5, then on 11
+    Gaussian atoms with random weights drawn from ``seed`` for k from 1 to 3."""
+
+    def call(P, k):
+        def run(out_dir):
+            res = kkmlab.optimal_risk(P, k)
+            print(repr(res.value), res.exact)
+            return 0
+        return run
+
+    g = np.random.default_rng([seed, 11])
+    w = g.random(11)
+    atoms = kkmlab.DistributionSpec(g.normal(size=(11, 2)), w / w.sum(),
+                                    kkmlab.KernelSpec("gaussian"))
+    return [*((f"benchmark-k{k}", call(kkmlab.standard_benchmark(k, seed=seed), k))
+              for k in range(1, 6)), *((f"atoms11-k{k}", call(atoms, k)) for k in range(1, 4))]
 
 
 def run_op(call, out_dir: Path) -> dict[str, str]:
@@ -69,9 +95,9 @@ def run_op(call, out_dir: Path) -> dict[str, str]:
 
 
 def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, dict]:
-    """Every op of one workload (or of ``DEMO``) at one seed, set up in
-    ``work``: run in the child process that ``side_digests`` starts in
-    checkout ``root``."""
+    """Every op of one workload (or of ``DEMO`` or ``OPTIMAL``) at one seed,
+    set up in ``work``: run in the child process that ``side_digests`` starts
+    in checkout ``root``."""
     import kkmlab
     import kkmlab.cli
     import workloads
@@ -80,6 +106,9 @@ def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, 
         raise SystemExit(f"imported kkmlab from {kkmlab.__file__}, not from {root / 'src'}")
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
+    if workload == OPTIMAL:
+        return {f"{workload} seed {seed} {name}": run_op(call, work / "out" / name)
+                for name, call in optimal_ops(kkmlab, seed)}
     if workload == DEMO:
         ops = [workloads.Op(name, argv) for name, argv in demo_ops(root, seed)]
     else:
@@ -96,8 +125,8 @@ def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, 
 
 
 def side_digests(root: Path, work: Path, seeds: list[int]) -> dict[str, dict]:
-    """``run_workload`` for every workload and ``DEMO`` at every seed, each in
-    a fresh process."""
+    """``run_workload`` for every workload, ``DEMO`` and ``OPTIMAL`` at every
+    seed, each in a fresh process."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update({v: "1" for v in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(str(p) for p in (TOOLS, root / "src", root / "perfbench"))
@@ -105,7 +134,7 @@ def side_digests(root: Path, work: Path, seeds: list[int]) -> dict[str, dict]:
             "print(json.dumps(s.run_workload(Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], "
             "int(sys.argv[4]))))")
     digests = {}
-    for workload in (*WORKLOADS, DEMO):
+    for workload in (*WORKLOADS, DEMO, OPTIMAL):
         for seed in seeds:
             proc = subprocess.run([sys.executable, "-c", code, str(root), str(work), workload,
                                    str(seed)], cwd=root, env=env, capture_output=True, text=True)
