@@ -225,9 +225,9 @@ def _euclidean_kmeanspp(Z: np.ndarray, k: int, rng, runs: int) -> np.ndarray:
     first, u = np.empty(runs, np.int64), np.empty((runs, k - 1))
     for b in range(runs):
         first[b], u[b] = rng.integers(len(Z), size=1)[0], rng.random(k - 1)
-    step = max(1, _BLOCK_ELEMENTS // Z.size)  # columns at a time: all at once hold (runs, n, d)
+    step = max(1, _BLOCK_ELEMENTS // 4 // Z.size)  # runs a chunk; 4x larger raised peak RSS
     centers = _dsq_centers(lambda idx: np.concatenate([
-        np.sum((Z[None] - Z[idx[s : s + step]][:, None]) ** 2, axis=2)
+        np.sum((Z[None] - Z[idx[s : s + step], None]) ** 2, axis=2)
         for s in range(0, len(idx), step)]).T, first, u)
     return np.argmin(_sq_dists(np.einsum("ij,ij->i", Z, Z), Z, Z[centers]), axis=-1)
 

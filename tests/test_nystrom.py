@@ -445,13 +445,13 @@ class TestNystromRestartSets:
             self.assert_same(got, [reference_euclidean_lloyd(Z, a, max_iter) for a in starts])
 
     def test_distance_columns_built_in_chunks_equal_one_run_at_a_time(self, monkeypatch):
-        # 12 runs on 300 x 40 coordinates: five runs a chunk, so three chunks
+        # 20 runs on 64 x 27 coordinates: nine runs a chunk, so three chunks
         columns, real = [], nystrom_module._dsq_centers
         monkeypatch.setattr(nystrom_module, "_dsq_centers",
                             lambda dists_to, *a: columns.append(dists_to) or real(dists_to, *a))
-        Z = np.random.default_rng(12).normal(size=(300, 40))
-        nystrom_module._euclidean_kmeanspp(Z, 3, np.random.default_rng(0), 12)
-        idx = np.random.default_rng(1).integers(300, size=12)
+        Z = np.random.default_rng(12).normal(size=(64, 27))
+        nystrom_module._euclidean_kmeanspp(Z, 3, np.random.default_rng(0), 20)
+        idx = np.random.default_rng(1).integers(64, size=20)
         want = np.array([np.sum((Z - Z[i]) ** 2, axis=1) for i in idx]).T
         got = columns[0](idx)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
