@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SEARCH_MAX_N, _SEARCH_MAX_K = 12, 4  # the exact search's limit: S(12, 4) = 611,501 leaves
+_WIDE_MIN_ROWS = 1024  # one wide product 1.9 ms, stacked 8.9 ms at k=2, B=10: ROADMAP.md's table
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,15 @@ class Assignment:
 
     @classmethod
     def from_labels(cls, labels, k: int) -> "Assignment":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size == 0:
+        values = np.asarray(labels)
+        if values.ndim != 1 or values.size == 0:
             raise ValueError("labels must be a nonempty 1-d array")
         if k < 1:
             raise ValueError("k must be >= 1")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ValueError(f"labels must lie in [0, {k})")
+        if not np.all((values >= 0) & (values < k) & (np.floor(values) == values)):
+            raise ValueError(f"labels must be integers in [0, {k})")
+        labels = values.astype(np.int64)  # a copy
         sizes = np.bincount(labels, minlength=k).astype(np.int64)
-        labels = labels.copy()
         labels.setflags(write=False)
         sizes.setflags(write=False)
         return cls(labels=labels, k=k, cluster_sizes=sizes)
@@ -84,13 +85,24 @@ def _onehot(labels: np.ndarray, k: int, weights=None):
     return G, np.bincount(idx, w, minlength=G.size // n).reshape(*labels.shape[:-1], k)
 
 
-def _cluster_linkage(K: GramMatrix, labels: np.ndarray, k: int, weights=None):
-    """Per-cluster kernel sums: KG[i, j] = sum_{t in C_j} w_t K_it,
-    T[j] = sum_{t, t' in C_j} w_t w_t' K_tt' and sizes[j] = sum_{t in C_j} w_t,
+def _gram_products(M: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``np.matmul(M, G)`` for an (n, k) or (B, n, k) one-hot stack; from
+    ``_WIDE_MIN_ROWS`` rows at k, B >= 2, one (n, B k) product that reads M once.
+    OpenBLAS 0.3.31 keeps each product's bits there (not at k = 1 or n < 768)
+    except on Haswell kernels at odd n unless 4 | k, or n = 2 mod 4 on two threads."""
+    if G.ndim < 3 or len(G) < 2 or G.shape[2] < 2 or len(M) < _WIDE_MIN_ROWS:
+        return np.matmul(M, G)
+    B, n, k = G.shape
+    return (M @ G.transpose(1, 0, 2).reshape(n, B * k)).reshape(n, B, k).transpose(1, 0, 2)
+
+
+def _cluster_linkage(M: np.ndarray, labels: np.ndarray, k: int, weights=None):
+    """Per-cluster sums of the Gram entries M: KG[i, j] = sum_{t in C_j} w_t M_it,
+    T[j] = sum_{t, t' in C_j} w_t w_t' M_tt' and sizes[j] = sum_{t in C_j} w_t,
     with every weight w_t = 1 unless ``weights`` are given; for a (B, n) stack
-    of labelings, each with a leading B axis and each labeling's bits."""
+    of labelings, each with a leading B axis, by one ``_gram_products`` call."""
     G, sizes = _onehot(labels, k, weights)
-    KG = np.matmul(K.entries, G)
+    KG = _gram_products(M, G)
     return KG, np.einsum("...ij,...ij->...j", G, KG), sizes
 
 
@@ -106,7 +118,7 @@ def cluster_cost(K: GramMatrix, a: Assignment) -> float:
         raise ValueError("assignment and Gram matrix disagree on n")
     if np.any(a.cluster_sizes == 0):
         raise EmptyCluster("cluster_cost needs every cluster populated")
-    _, T, sizes = _cluster_linkage(K, a.labels, a.k)
+    _, T, sizes = _cluster_linkage(K.entries, a.labels, a.k)
     return float(_linkage_cost(K, T, sizes))
 
 
@@ -173,7 +185,8 @@ def _lloyd(inits, fit, max_iter: int, rel_tol: float, margin):
     for it in range(1, max_iter + 1):
         D = dists(rows)
         new = np.argmin(D, axis=-1)
-        for r in np.flatnonzero((_onehot(new, k)[1] == 0).any(axis=1)):
+        counts = np.bincount((new + k * np.arange(len(new))[:, None]).ravel(), minlength=k * len(new))
+        for r in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
             new[r] = _repair_empty(new[r], k, D[r, np.arange(D.shape[1]), new[r]])
         same = (new == labels[live]).all(axis=1)
         for b in live[same]:
@@ -211,9 +224,9 @@ def _kernel_lloyd(K: GramMatrix, inits, max_iter: int, rel_tol: float):
     """``kernel_lloyd`` from each start in ``inits``, in one ``_lloyd`` batch."""
 
     def fit(labels):
-        # one stacked Gram product per step: the linkage of the labelings gives
-        # their costs and the next step's point-to-center distances
-        KG, T, sizes = _cluster_linkage(K, labels, inits[0].k)
+        # one linkage of the live labelings per step gives their costs and the
+        # next step's point-to-center distances: one wide product from 1024 rows
+        KG, T, sizes = _cluster_linkage(K.entries, labels, inits[0].k)
         return _linkage_cost(K, T, sizes), lambda rows: _point_center_dists(
             K, KG[rows], T[rows], sizes[rows])
 
@@ -319,8 +332,7 @@ def _partition_search(K: np.ndarray, w: np.ndarray, k: int, rescore, slack: floa
 
 
 def _chunk_costs(K: np.ndarray, diag_sum: float, chunk_labels: np.ndarray, k: int) -> np.ndarray:
-    G, sizes = _onehot(chunk_labels, k)
-    T = np.einsum("bik,bik->bk", G, np.matmul(K, G))
+    _, T, sizes = _cluster_linkage(K, chunk_labels, k)
     return (diag_sum - np.sum(T / sizes, axis=1)) / K.shape[0]
 
 

@@ -114,6 +114,8 @@ class GramMatrix:
             entries = 0.5 * (entries + entries.T)
         if not np.all(np.isfinite(entries)):
             raise NonFiniteInput("Gram matrix entries are non-finite or overflow when symmetrized")
+        if np.any(np.diagonal(entries) < 0):
+            raise ValueError("Gram matrix diagonal has a negative entry, which no PSD matrix has")
         return cls._frozen(entries, groups)
 
     @classmethod

@@ -134,8 +134,8 @@ def nystrom_embed(K: GramMatrix, L: LandmarkSet, jitter: float = 0.0) -> Embedde
     landmark sets are handled; a rank collapse is reported as a
     :class:`SingularLandmarkBlockWarning`, not an error.
     """
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
+    if not 0 <= jitter < math.inf:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     idx = L.indices
     if idx[-1] >= K.n:
         raise ValueError("landmark indices out of range for this Gram matrix")

@@ -226,8 +226,7 @@ def population_risk(P: DistributionSpec, centers) -> float:
 
 
 def _weighted_partition_costs(K: np.ndarray, w: np.ndarray, chunk: np.ndarray, k: int) -> np.ndarray:
-    Gw, Wc = _onehot(chunk, k, w)
-    T = np.einsum("bik,bik->bk", Gw, np.matmul(K, Gw))
+    _, T, Wc = _cluster_linkage(K, chunk, k, w)
     # a weightless block's T is 0: it adds 0, as in the search's screen
     return float(w @ np.diagonal(K)) - np.sum(T / np.where(Wc > 0, Wc, 1.0), axis=1)
 
@@ -285,7 +284,7 @@ def _compute_optimal_risk(P: DistributionSpec, k: int, surrogate_runs: int) -> O
 
     def fit(labels):  # Lloyd in the weighted geometry: weighted costs and means
         return _weighted_partition_costs(K.entries, w, labels, k), lambda rows: _point_center_dists(
-            K, *_cluster_linkage(K, labels[rows], k, w))
+            K, *_cluster_linkage(K.entries, labels[rows], k, w))
 
     best = np.inf
     for a, _ in _lloyd([Assignment.from_labels(labels, k) for labels in fits.values()],

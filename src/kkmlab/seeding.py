@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._common import ensure_rng
-from .clustering import Assignment, _check_lloyd, _kernel_lloyd, _onehot, cluster_cost
+from .clustering import Assignment, _check_lloyd, _cluster_linkage, _kernel_lloyd, cluster_cost
 from .errors import EmptyCluster, InvariantViolated, KTooLarge, KTooSmall
 from .kernels import GramMatrix, dists_to_points
 
@@ -74,10 +74,10 @@ def _weighted_swap_costs(gram, near, cand_cols, weights, trace: float, n: int) -
     nearest-center labelings of the rows of ``gram`` once center p is replaced
     by the candidate with distance column ``cand_cols[:, c]``.  Row u stands
     for ``weights[u]`` of the n points, and ``near`` is ``_nearest_others``
-    at the same rows, of one center set or of one per candidate.  Each trial
-    keeps its own product (one wide product could use other BLAS kernels, so
-    other bits), and a call builds at most ``_BLOCK_ELEMENTS`` one-hot floats
-    at a time."""
+    at the same rows, of one center set or of one per candidate.  The trials'
+    Gram products are one ``_gram_products`` call (one wide product from
+    ``_WIDE_MIN_ROWS`` rows, with the bits it names), and a call builds at
+    most ``_BLOCK_ELEMENTS`` one-hot floats at a time."""
     other, other_d, wins_tie = near
     k, rows = other.shape[-2:]
     step = max(1, _BLOCK_ELEMENTS // (rows * k * k))
@@ -95,9 +95,8 @@ def _weighted_swap_costs(gram, near, cand_cols, weights, trace: float, n: int) -
 def _weighted_costs(gram, labels, k: int, weights, trace: float, n: int) -> np.ndarray:
     """Mean-centroid costs, or +inf where a cluster is empty, of the (P, rows)
     labelings of the rows of ``gram``, row u standing for ``weights[u]`` of
-    the n points: each trial with its own product in one stacked call."""
-    W, sizes = _onehot(labels, k, weights)
-    T = np.einsum("pij,pij->pj", W, np.matmul(gram, W))
+    the n points: every trial's linkage from one ``_cluster_linkage`` call."""
+    _, T, sizes = _cluster_linkage(gram, labels, k, weights)
     with np.errstate(divide="ignore", invalid="ignore"):
         costs = (trace - (T / sizes).sum(axis=1)) / n
     costs = np.maximum(costs, 0.0)
@@ -200,7 +199,7 @@ def _runs(K: GramMatrix, k: int, rngs, rounds: int, seeds=None) -> list[SeedingR
     cd = dists_to_points(K, centers.ravel()).reshape(n, B, k).transpose(1, 0, 2).copy()
     if seeds is None:  # every seed labelled from one table, and scored in one stacked product
         labels = np.argmin(cd, axis=2)  # ties: lowest position
-        if (_onehot(labels, k)[1] == 0).any():
+        if (np.bincount((labels + k * np.arange(B)[:, None]).ravel(), minlength=k * B) == 0).any():
             raise EmptyCluster("duplicate data points left a center with no cell")
         if rounds == 0:
             return [SeedingResult(c, Assignment.from_labels(a, k), np.nan, 0)

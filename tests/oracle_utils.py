@@ -237,7 +237,7 @@ def reference_weighted_lloyd_labels(K, w, labels, k):
     empty-cluster repair (an emptied cluster's weighted mean is the origin);
     stops when the labels repeat or after 100 steps."""
     for _ in range(100):
-        D = _point_center_dists(K, *_cluster_linkage(K, labels, k, w))
+        D = _point_center_dists(K, *_cluster_linkage(K.entries, labels, k, w))
         new_labels = np.argmin(D, axis=1)
         if np.array_equal(new_labels, labels):
             break

@@ -84,6 +84,13 @@ class TestClusterCost:
                 expect = embedding_cost_oracle(K, np.asarray(a.labels), k)
                 assert cluster_cost(K, a) == pytest.approx(expect, abs=1e-8)
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.2], [0.0, np.nan], [0, 3], [-1, 0]])
+    def test_non_integral_or_out_of_range_labels_rejected(self, labels):
+        # [0.5, 1.2] used to be truncated to [0, 1] without a word
+        with pytest.raises(ValueError, match="labels"):
+            Assignment.from_labels(labels, 2)
+        assert Assignment.from_labels([1.0, 0.0], 2).labels.tolist() == [1, 0]
+
     def test_empty_cluster_rejected(self):
         K = gram_matrix(KernelSpec("linear"), np.eye(3))
         a = Assignment.from_labels([0, 0, 1], 3)
@@ -142,11 +149,43 @@ class TestOneHot:
         assert differs >= 5
 
 
+class TestGramProducts:
+    """``_gram_products`` against ``np.matmul`` on the same stack, bit for
+    bit, where it makes one wide product, and the stacked path elsewhere."""
+
+    @pytest.mark.parametrize("n", [1024, 1025, 1537, 2048, 2049])
+    def test_wide_product_equals_stacked(self, n):
+        g = np.random.default_rng([n, 0x6A])
+        M = gram_matrix(KernelSpec("gaussian"), g.normal(size=(n, 3))).entries
+        real = g.random(n)
+        real[g.random(n) < 0.2] = 0.0  # zero weights among them
+        for k in (2, 3, 5, 8, 12):
+            for B in (2, 10):
+                labels = g.integers(0, k, size=(B, n))
+                for weights in (None, real):  # unit weights, and the weighted stacks
+                    G, _ = clustering_module._onehot(labels, k, weights)
+                    got = clustering_module._gram_products(M, G)
+                    assert got.shape == (B, n, k)
+                    assert got.tobytes() == np.matmul(M, G).tobytes(), (k, B, weights is None)
+
+    @pytest.mark.parametrize("n, k, B, stacked", [(1023, 4, 10, 1), (2048, 1, 10, 1),
+                                                  (2048, 4, 1, 1), (1024, 2, 2, 0)])
+    def test_stacked_path_below_the_threshold(self, monkeypatch, n, k, B, stacked):
+        calls, real = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a: calls.append(1) or real(*a))
+        g = np.random.default_rng(n + k + B)
+        M = g.random((n, n))
+        G, _ = clustering_module._onehot(g.integers(0, k, size=(B, n)), k)
+        got = clustering_module._gram_products(M, G)
+        assert len(calls) == stacked
+        assert got.tobytes() == real(M, G).tobytes()
+
+
 class TestPointCenterDists:
     @staticmethod
     def dists(K, a):
         return clustering_module._point_center_dists(
-            K, *clustering_module._cluster_linkage(K, a.labels, a.k)
+            K, *clustering_module._cluster_linkage(K.entries, a.labels, a.k)
         )
 
     def test_own_singleton_cluster_zero(self):

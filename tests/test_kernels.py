@@ -75,6 +75,11 @@ class TestGramMatrix:
         with pytest.raises(NonFiniteInput, match="Gram matrix entries"):
             GramMatrix.from_entries(entries)
 
+    def test_negative_diagonal_rejected(self):
+        # no PSD matrix has one; kernel_lloyd on -I used to report cost 0
+        with pytest.raises(ValueError, match="diagonal"):
+            GramMatrix.from_entries(-np.eye(4))
+
     def test_symmetrizing_overflow_rejected(self):
         # finite entries whose symmetrizing sum overflows to +-inf: the costs
         # used to be nan, and brute_force_erm raised InvariantViolated

@@ -176,6 +176,13 @@ class TestEmbedding:
             emb = nystrom_embed(K, LandmarkSet.from_indices([0, 1]))
         assert emb.rank == 1
 
+    @pytest.mark.parametrize("jitter", [-1e-3, float("nan"), float("inf")])
+    def test_bad_jitter_rejected(self, jitter):
+        # a NaN jitter used to pass the check and end in LinAlgError
+        K = gram_matrix(KernelSpec("gaussian"), np.random.default_rng(4).normal(size=(8, 2)))
+        with pytest.raises(ValueError, match="jitter"):
+            nystrom_embed(K, LandmarkSet.from_indices([0, 3, 5]), jitter=jitter)
+
     def test_memory_structure(self):
         # the only per-point state beyond K is the n x m coordinates plus the
         # n-vector of residuals and the m x m coefficient map

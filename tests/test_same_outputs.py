@@ -104,3 +104,22 @@ def test_optimal_ops_hash_the_value_and_exact_flag(same_outputs, monkeypatch, tm
         assert digests == {"exit": "0", "stdout": hashlib.sha256(line.encode()).hexdigest(),
                            "stderr": hashlib.sha256(b"").hexdigest()}, op
     assert exact == [True, True, False, False, False, True, True, True]
+
+
+def test_large_ops_cluster_1025_blob_points(same_outputs, monkeypatch, tmp_path):
+    # the kernel Lloyd and local search at an odd n of at least 1024 rows, hashed in-process
+    # here as the child process runs them for each side
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    ops = same_outputs.large_ops(workloads.blob_points, tmp_path, 11)
+    assert [name for name, _ in ops] == ["cluster-lloyd", "cluster-approx"]
+    assert [argv[-1] for _, argv in ops] == ["lloyd", "approx"]
+    points = np.loadtxt(tmp_path / "large_points.csv", delimiter=",", skiprows=1)
+    assert points.shape == (1025, 3)
+    assert points.tobytes() == workloads.blob_points(11, 1025, 5).tobytes()
+    got = same_outputs.run_workload(TOOLS.parent, tmp_path / "work", same_outputs.LARGE, 11)
+    assert list(got) == ["large seed 11 cluster-lloyd", "large seed 11 cluster-approx"]
+    for op, digests in got.items():
+        assert digests["exit"] == "0", op
+        assert "file assignment.csv" in digests and "file trace.csv" in digests, op

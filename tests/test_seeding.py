@@ -762,6 +762,19 @@ class TestApproximateErm:
             approximate_erm(K, 3, rng=rng, **kwargs)
         assert not calls and rng.bit_generator.state == state
 
+    def test_wide_products_at_n_1024_equal_the_sequential_oracle(self, monkeypatch):
+        # from 1024 rows each scoring call makes one wide Gram product for its trials
+        stacks, real = [], seeding._cluster_linkage
+        monkeypatch.setattr(seeding, "_cluster_linkage",
+                            lambda M, labels, *a: stacks.append(len(labels)) or real(M, labels, *a))
+        K = gram_matrix(KernelSpec("gaussian"), np.random.default_rng(30).normal(size=(1024, 3)))
+        a, trace, swaps = approximate_erm(K, 4, 20, rng := np.random.default_rng(31))
+        a2, trace2, swaps2 = reference_approximate_erm(K, 4, 20, ref := np.random.default_rng(31))
+        assert (a.labels.tolist(), trace.per_iteration_cost.tobytes(), swaps) == (
+            a2.labels.tolist(), trace2.per_iteration_cost.tobytes(), swaps2)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert swaps > 0 and max(stacks) >= 2
+
     def test_k_equals_n_cost_zero(self):
         rng = np.random.default_rng(3)
         K = gram_matrix(KernelSpec("gaussian"), rng.normal(size=(6, 2)))

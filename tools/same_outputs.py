@@ -14,8 +14,10 @@ set runs ``cluster --method lloyd|approx|nystrom`` and ``rad-check`` on the
 side's ``demos/risk_scan.cfg`` at each seed, and an ``optimal`` set prints
 the ``repr`` of ``optimal_risk``'s value and its exact flag on
 ``standard_benchmark(k, seed=s)`` for k from 1 to 5 and on 11 atoms with
-random weights for k from 1 to 3, cases no workload reaches.  Each op's exit
-code, stdout, stderr and output files are hashed.
+random weights for k from 1 to 3, and a ``large`` set runs ``cluster
+--method lloyd|approx`` on 1025 points of ``workloads.blob_points``' recipe,
+cases no workload reaches.  Each op's exit code, stdout, stderr and output
+files are hashed.
 
 Prints one line per workload, seed and op, ``same`` or ``DIFFERS`` with the
 parts that differ, and exits 1 if any op differs.
@@ -41,6 +43,8 @@ from bench_pairs import ROOT, THREAD_VARS, WORKLOADS, checkout
 TOOLS = Path(__file__).resolve().parent
 DEMO = "demo"  # the ops of ``demo_ops``, hashed beside the benchmark's workloads
 OPTIMAL = "optimal"  # the ops of ``optimal_ops``, likewise
+LARGE = "large"  # the ops of ``large_ops``, likewise
+LARGE_N, LARGE_K = 1025, 5  # odd n past clustering's _WIDE_MIN_ROWS; blob_points keeps n // k * k
 
 
 def demo_ops(root: Path, seed: int) -> list[tuple[str, tuple[str, ...]]]:
@@ -49,6 +53,36 @@ def demo_ops(root: Path, seed: int) -> list[tuple[str, tuple[str, ...]]]:
     common = ("--config", str(root / "demos" / "risk_scan.cfg"), "--seed", str(seed))
     return [*((f"cluster-{m}", ("cluster", *common, "--method", m))
               for m in ("lloyd", "approx", "nystrom")), ("rad-check", ("rad-check", *common))]
+
+
+def large_ops(blob_points, work: Path, seed: int) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, argv) of the ``large`` ops at one seed: ``cluster --method lloyd``
+    (10 restarts) and ``--method approx`` at k = 5 on ``blob_points(seed, 1025,
+    5)``, written with its config into ``work``: the exact kernel Lloyd and
+    local search on a Gram of an odd n of at least 1024 rows."""
+    points = work / "large_points.csv"
+    np.savetxt(points, blob_points(seed, LARGE_N, LARGE_K), fmt="%.17g", delimiter=",",
+               header="x0,x1,x2", comments="")
+    cfg = work / "large.cfg"
+    cfg.write_text(f"""\
+[kernel]
+family = gaussian
+bandwidth = 1.0
+
+[data]
+source = csv
+path = {points}
+
+[cluster]
+k = {LARGE_K}
+restarts = 10
+
+[run]
+master_seed = {seed}
+workers = 1
+""", encoding="utf-8")
+    return [(f"cluster-{m}", ("cluster", "--config", str(cfg), "--method", m))
+            for m in ("lloyd", "approx")]
 
 
 def optimal_ops(kkmlab, seed: int) -> list[tuple[str, object]]:
@@ -95,9 +129,9 @@ def run_op(call, out_dir: Path) -> dict[str, str]:
 
 
 def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, dict]:
-    """Every op of one workload (or of ``DEMO`` or ``OPTIMAL``) at one seed,
-    set up in ``work``: run in the child process that ``side_digests`` starts
-    in checkout ``root``."""
+    """Every op of one workload (or of ``DEMO``, ``OPTIMAL`` or ``LARGE``) at
+    one seed, set up in ``work``: run in the child process that
+    ``side_digests`` starts in checkout ``root``."""
     import kkmlab
     import kkmlab.cli
     import workloads
@@ -109,8 +143,10 @@ def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, 
     if workload == OPTIMAL:
         return {f"{workload} seed {seed} {name}": run_op(call, work / "out" / name)
                 for name, call in optimal_ops(kkmlab, seed)}
-    if workload == DEMO:
-        ops = [workloads.Op(name, argv) for name, argv in demo_ops(root, seed)]
+    if workload in (DEMO, LARGE):
+        named = demo_ops(root, seed) if workload == DEMO else large_ops(
+            workloads.blob_points, work, seed)
+        ops = [workloads.Op(name, argv) for name, argv in named]
     else:
         ops = workloads.WORKLOADS[workload].setup(seed, work, root)
     digests = {}
@@ -125,8 +161,8 @@ def run_workload(root: Path, work: Path, workload: str, seed: int) -> dict[str, 
 
 
 def side_digests(root: Path, work: Path, seeds: list[int]) -> dict[str, dict]:
-    """``run_workload`` for every workload, ``DEMO`` and ``OPTIMAL`` at every
-    seed, each in a fresh process."""
+    """``run_workload`` for every workload, ``DEMO``, ``OPTIMAL`` and ``LARGE``
+    at every seed, each in a fresh process."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update({v: "1" for v in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(str(p) for p in (TOOLS, root / "src", root / "perfbench"))
@@ -134,7 +170,7 @@ def side_digests(root: Path, work: Path, seeds: list[int]) -> dict[str, dict]:
             "print(json.dumps(s.run_workload(Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], "
             "int(sys.argv[4]))))")
     digests = {}
-    for workload in (*WORKLOADS, DEMO, OPTIMAL):
+    for workload in (*WORKLOADS, DEMO, OPTIMAL, LARGE):
         for seed in seeds:
             proc = subprocess.run([sys.executable, "-c", code, str(root), str(work), workload,
                                    str(seed)], cwd=root, env=env, capture_output=True, text=True)
