@@ -49,7 +49,7 @@ class Assignment:
             raise ValueError("labels must be a nonempty 1-d array")
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not np.all((values >= 0) & (values < k) & (np.floor(values) == values)):
+        if values.min() < 0 or values.max() >= k or values.dtype.kind == "f" and (values % 1).any():
             raise ValueError(f"labels must be integers in [0, {k})")
         labels = values.astype(np.int64)  # a copy
         sizes = np.bincount(labels, minlength=k).astype(np.int64)
