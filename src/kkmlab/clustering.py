@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _SEARCH_MAX_N, _SEARCH_MAX_K = 12, 4  # the exact search's limit: S(12, 4) = 611,501 leaves
-_WIDE_MIN_ROWS = 1024  # one wide product 1.9 ms, stacked 8.9 ms at k=2, B=10: ROADMAP.md's table
+_WIDE_MIN_ROWS = 1024  # 1.1 ms wide against 6.6 ms stacked at k=2, B=10: ROADMAP.md's table
 
 
 @dataclass(frozen=True)
